@@ -37,7 +37,7 @@ class CoreMap:
     """Correspondence between a multigraph and its core.
 
     ``edge_expansion[ce]`` lists original edge ids along the path the core
-    edge ``ce`` contracts; ``expansion_vertices(ce)`` gives the matching
+    edge ``ce`` contracts; ``expansion_paths[ce]`` gives the matching
     original vertex path, oriented so its first vertex maps to the lower
     core endpoint.
     """
@@ -50,16 +50,6 @@ class CoreMap:
     edge_expansion: dict[int, tuple[int, ...]]
     expansion_paths: dict[int, tuple[int, ...]]
     suppressed_location: dict[int, int]
-
-    def expansion_vertices(self, core_edge: int) -> tuple[int, ...]:
-        return self.expansion_paths[core_edge]
-
-    def owner_of_edge(self, original_edge: int) -> Optional[int]:
-        """The core edge whose expansion contains the original edge."""
-        for ce, path in self.edge_expansion.items():
-            if original_edge in path:
-                return ce
-        return None
 
     def validate(self) -> None:
         h, c = self.original, self.core

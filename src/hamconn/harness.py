@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .constructions import wagner_counterexample
 from .corpus import MAX_ENUMERATION_VERTICES, graph_from_edge_mask
 from .encoding import encode_graph6
-from .errors import GraphError
+from .errors import GraphError, LiftFailedError, NotALineGraphOfMultigraphError
 from .invariants import (
     dominating_set,
     domination_number,
@@ -26,7 +26,7 @@ from .invariants import (
     is_k_connected,
     vertex_connectivity,
 )
-from .linegraph import is_line_graph_of_multigraph, preimage
+from .linegraph import preimage
 from .multigraph import Multigraph, SimpleGraph
 from .trails import (
     find_dct,
@@ -41,6 +41,8 @@ _STAGES = {
     "thm1": ("total", "connected", "claw-free", "3-connected", "domination<=3"),
     "ageev": ("total", "connected", "claw-free", "2-connected", "domination<=2"),
 }
+# The vertex connectivity and the domination budget each hypothesis filters on.
+_THRESHOLDS = {"thm1": (3, 3), "ageev": (2, 2)}
 _CONCLUSIONS = {"thm1": "hamiltonian-connected", "ageev": "hamiltonian"}
 
 
@@ -87,10 +89,9 @@ def _stage_filter(g: SimpleGraph, hypothesis: str) -> int:
         return 1
     if find_claw(g) is not None:
         return 2
-    k = 3 if hypothesis == "thm1" else 2
+    k, budget = _THRESHOLDS[hypothesis]
     if not is_k_connected(g, k):
         return 3
-    budget = 3 if hypothesis == "thm1" else 2
     if dominating_set(g, budget) is None:
         return 4
     return 5
@@ -111,22 +112,55 @@ def _check_graph(g: SimpleGraph, hypothesis: str) -> tuple[int, Optional[Violati
     return 5, Violation(encode_graph6(g), None)
 
 
-def _worker_range(args: tuple[int, int, int, str]) -> tuple[list[int], list[Violation]]:
-    """Stage counts and violations over one contiguous mask range."""
-    n, lo, hi, hypothesis = args
+def _tally(graphs: Iterable[SimpleGraph], hypothesis: str) -> tuple[list[int], list[Violation]]:
+    """Stage counts and violations over a run of graphs, in input order."""
     counts = [0] * 6
     violations: list[Violation] = []
-    for mask in range(lo, hi):
-        g = graph_from_edge_mask(n, mask)
+    for g in graphs:
         reached, violation = _check_graph(g, hypothesis)
-        passed_stages = min(reached, 5)
-        for i in range(passed_stages):
+        for i in range(reached):
             counts[i] += 1
-        if reached == 6:
-            counts[5] += 1
         if violation is not None:
             violations.append(violation)
     return counts, violations
+
+
+def _worker_range(args: tuple[int, int, int, str]) -> tuple[list[int], list[Violation]]:
+    """Stage counts and violations over one contiguous mask range."""
+    n, lo, hi, hypothesis = args
+    return _tally((graph_from_edge_mask(n, mask) for mask in range(lo, hi)), hypothesis)
+
+
+def _worker_graphs(args: tuple[list[SimpleGraph], str]) -> tuple[list[int], list[Violation]]:
+    return _tally(*args)
+
+
+def _merged_report(
+    hypothesis: str, worker, jobs: list, workers: int, start: float
+) -> VerificationReport:
+    """Run the jobs (in a pool when ``workers > 1``) and merge their stage
+    counts and violations in job order into one checked report."""
+    if workers <= 1:
+        results = [worker(job) for job in jobs]
+    else:
+        with Pool(processes=workers) as pool:
+            results = pool.map(worker, jobs, chunksize=1)
+    counts = [0] * 6
+    violations: list[Violation] = []
+    for partial_counts, partial_violations in results:
+        for i in range(6):
+            counts[i] += partial_counts[i]
+        violations.extend(partial_violations)
+    stage_names = _STAGES[hypothesis] + (_CONCLUSIONS[hypothesis],)
+    report = VerificationReport(
+        hypothesis=hypothesis,
+        stage_counts=tuple(zip(stage_names, counts)),
+        violations=tuple(violations),
+        elapsed=time.time() - start,
+    )
+    if not report.check_monotone():
+        raise LiftFailedError("stage counts are not monotone or miss a survivor")
+    return report
 
 
 def verify_theorem_enumerated(
@@ -145,26 +179,7 @@ def verify_theorem_enumerated(
         total = 1 << (n * (n - 1) // 2)
         for lo in range(0, total, chunk):
             jobs.append((n, lo, min(lo + chunk, total), hypothesis))
-    counts = [0] * 6
-    violations: list[Violation] = []
-    if workers <= 1:
-        results = [_worker_range(job) for job in jobs]
-    else:
-        with Pool(processes=workers) as pool:
-            results = pool.map(_worker_range, jobs, chunksize=1)
-    for partial_counts, partial_violations in results:
-        for i in range(6):
-            counts[i] += partial_counts[i]
-        violations.extend(partial_violations)
-    stage_names = _STAGES[hypothesis] + (_CONCLUSIONS[hypothesis],)
-    report = VerificationReport(
-        hypothesis=hypothesis,
-        stage_counts=tuple(zip(stage_names, counts)),
-        violations=tuple(violations),
-        elapsed=time.time() - start,
-    )
-    assert report.check_monotone()
-    return report
+    return _merged_report(hypothesis, _worker_range, jobs, workers, start)
 
 
 def verify_theorem_graphs(
@@ -174,32 +189,10 @@ def verify_theorem_graphs(
     if hypothesis not in HYPOTHESES:
         raise GraphError(f"unknown hypothesis {hypothesis!r}")
     start = time.time()
-    counts = [0] * 6
-    violations: list[Violation] = []
     items = list(graphs)
-    if workers <= 1:
-        results = [_check_graph(g, hypothesis) for g in items]
-    else:
-        with Pool(processes=workers) as pool:
-            results = pool.starmap(
-                _check_graph, ((g, hypothesis) for g in items), chunksize=64
-            )
-    for reached, violation in results:
-        for i in range(min(reached, 5)):
-            counts[i] += 1
-        if reached == 6:
-            counts[5] += 1
-        if violation is not None:
-            violations.append(violation)
-    stage_names = _STAGES[hypothesis] + (_CONCLUSIONS[hypothesis],)
-    report = VerificationReport(
-        hypothesis=hypothesis,
-        stage_counts=tuple(zip(stage_names, counts)),
-        violations=tuple(violations),
-        elapsed=time.time() - start,
-    )
-    assert report.check_monotone()
-    return report
+    chunk = 64
+    jobs = [(items[lo : lo + chunk], hypothesis) for lo in range(0, len(items), chunk)]
+    return _merged_report(hypothesis, _worker_graphs, jobs, workers, start)
 
 
 def write_witnesses(report: VerificationReport, path: str) -> None:
@@ -249,10 +242,12 @@ def property_table(g: Multigraph) -> list[tuple[str, object]]:
             if pair is not None:
                 rows.append(("non-hamiltonian pair", pair))
         if g.is_connected():
-            line_preimage = is_line_graph_of_multigraph(g)
-            rows.append(("line graph of a multigraph", line_preimage))
-            if line_preimage:
+            try:
                 h = preimage(g)
+            except NotALineGraphOfMultigraphError:
+                h = None
+            rows.append(("line graph of a multigraph", h is not None))
+            if h is not None:
                 pendants = sum(
                     1
                     for u, v in h.endpoints

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DisconnectedGraphError, GraphError
+from .errors import DisconnectedGraphError, GraphError, LiftFailedError
 from .multigraph import Multigraph, SimpleGraph
 
 
@@ -62,28 +62,11 @@ def simplicial_vertices(g: SimpleGraph) -> frozenset[int]:
 # -- vertex connectivity ---------------------------------------------------------
 
 
-def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int, cap: int) -> int:
-    """Internally vertex-disjoint s-t paths via unit-capacity flow on the
-    vertex-split digraph, stopping early once ``cap`` paths are found."""
-    n = g.n
-    # Node 2v = v_in, 2v+1 = v_out.  Arcs: v_in->v_out (capacity 1, v not s,t),
-    # and u_out->w_in for each edge uw (capacity 1 each way).
-    size = 2 * n
-    capacity: list[dict[int, int]] = [dict() for _ in range(size)]
-
-    def add(u: int, v: int, c: int) -> None:
-        capacity[u][v] = capacity[u].get(v, 0) + c
-        capacity[v].setdefault(u, 0)
-
-    for v in range(n):
-        if v not in (s, t):
-            add(2 * v, 2 * v + 1, 1)
-        else:
-            add(2 * v, 2 * v + 1, n)
-    for u, w in g.endpoints:
-        add(2 * u + 1, 2 * w, 1)
-        add(2 * w + 1, 2 * u, 1)
-    source, sink = 2 * s, 2 * t + 1
+def _max_flow(capacity: list[dict[int, int]], source: int, sink: int, cap: int) -> int:
+    """Value of a maximum ``source``-``sink`` flow, or ``cap`` if that is
+    smaller.  Augments along shortest residual paths by their bottleneck.
+    ``capacity`` holds the residual capacities, with an entry (possibly 0)
+    for the reverse of every arc, and is consumed."""
     flow = 0
     while flow < cap:
         parent = {source: source}
@@ -98,14 +81,41 @@ def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int, cap: int) -> int:
             queue = nxt
         if sink not in parent:
             break
+        bottleneck = cap - flow
         y = sink
         while y != source:
             x = parent[y]
-            capacity[x][y] -= 1
-            capacity[y][x] += 1
+            if capacity[x][y] < bottleneck:
+                bottleneck = capacity[x][y]
             y = x
-        flow += 1
+        y = sink
+        while y != source:
+            x = parent[y]
+            capacity[x][y] -= bottleneck
+            capacity[y][x] += bottleneck
+            y = x
+        flow += bottleneck
     return flow
+
+
+def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int, cap: int) -> int:
+    """Internally vertex-disjoint s-t paths via unit-capacity flow on the
+    vertex-split digraph, stopping early once ``cap`` paths are found."""
+    n = g.n
+    # Node 2v = v_in, 2v+1 = v_out.  Arcs: v_in->v_out (capacity 1, v not s,t),
+    # and u_out->w_in for each edge uw (capacity 1 each way).
+    capacity: list[dict[int, int]] = [dict() for _ in range(2 * n)]
+
+    def add(u: int, v: int, c: int) -> None:
+        capacity[u][v] = capacity[u].get(v, 0) + c
+        capacity[v].setdefault(u, 0)
+
+    for v in range(n):
+        add(2 * v, 2 * v + 1, n if v in (s, t) else 1)
+    for u, w in g.endpoints:
+        add(2 * u + 1, 2 * w, 1)
+        add(2 * w + 1, 2 * u, 1)
+    return _max_flow(capacity, 2 * s, 2 * t + 1, cap)
 
 
 def vertex_connectivity(g: SimpleGraph) -> int:
@@ -162,44 +172,9 @@ def edge_connectivity(h: Multigraph) -> int:
         if u != v:
             mult[u][v] = mult[u].get(v, 0) + 1
             mult[v][u] = mult[v].get(u, 0) + 1
-    best = None
-    for t in range(1, h.n):
-        capacity = [dict(row) for row in mult]
-        flow = 0
-        while True:
-            parent = {0: 0}
-            queue = [0]
-            while queue and t not in parent:
-                nxt = []
-                for x in queue:
-                    for y, c in capacity[x].items():
-                        if c > 0 and y not in parent:
-                            parent[y] = x
-                            nxt.append(y)
-                queue = nxt
-            if t not in parent:
-                break
-            y = t
-            bottleneck = min(
-                capacity[parent[z]][z]
-                for z in _walk_to_source(parent, t)
-            )
-            y = t
-            while y != 0:
-                x = parent[y]
-                capacity[x][y] -= bottleneck
-                capacity[y][x] = capacity[y].get(x, 0) + bottleneck
-                y = x
-            flow += bottleneck
-        best = flow if best is None else min(best, flow)
-    return best if best is not None else 0
-
-
-def _walk_to_source(parent: dict[int, int], t: int) -> Iterable[int]:
-    y = t
-    while parent[y] != y:
-        yield y
-        y = parent[y]
+    return min(
+        _max_flow([dict(row) for row in mult], 0, t, h.edge_count) for t in range(1, h.n)
+    )
 
 
 # -- domination -------------------------------------------------------------------
@@ -237,8 +212,6 @@ def dominating_set(g: SimpleGraph, k: int) -> Optional[DominatingSet]:
     full = (1 << n) - 1
     max_cover = max(mask.bit_count() for mask in closed)
 
-    best: Optional[tuple[int, ...]] = None
-
     def search(covered: int, chosen: tuple[int, ...], budget: int) -> Optional[tuple[int, ...]]:
         if covered == full:
             return chosen
@@ -268,22 +241,18 @@ def dominating_set(g: SimpleGraph, k: int) -> Optional[DominatingSet]:
     for size in range(0, k + 1):
         found = search(0, (), size)
         if found is not None:
-            best = found
-            break
-    if best is None:
-        return None
-    ds = DominatingSet(frozenset(best), g)
-    assert ds.validate()
-    return ds
+            ds = DominatingSet(frozenset(found), g)
+            if not ds.validate():
+                raise LiftFailedError("dominating set search returned a non-dominating set")
+            return ds
+    return None
 
 
 def domination_number(g: SimpleGraph) -> int:
     if g.n == 0:
         raise GraphError("the empty graph has no domination number")
-    for k in range(1, g.n + 1):
-        if dominating_set(g, k) is not None:
-            return k
-    raise AssertionError("unreachable: the full vertex set always dominates")
+    # The full vertex set always dominates, and the set found is minimum.
+    return len(dominating_set(g, g.n).vertices)
 
 
 # -- essential edge connectivity ----------------------------------------------------

@@ -216,7 +216,8 @@ def preimage(g: SimpleGraph) -> Multigraph:
         return Multigraph(2, [(0, 1)])
     perm = canonical_labeling(g)
     canon = relabel(g, perm)
-    assert isinstance(canon, SimpleGraph)
+    if not isinstance(canon, SimpleGraph):
+        raise LiftFailedError("relabeling a simple graph did not give a simple graph")
     cover = _krausz_cover(canon)
     if cover is None:
         raise NotALineGraphOfMultigraphError(

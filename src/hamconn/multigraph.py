@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import GraphError, UnknownEdgeError, UnknownVertexError
+from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 
 #: Default cap for the backtracking isomorphism search.
 ISOMORPHISM_SIZE_GUARD = 32
@@ -487,7 +487,8 @@ def find_isomorphism(
     if not extend(0):
         return None
     result = tuple(mapping)
-    assert _is_isomorphism(a, b, result)
+    if not _is_isomorphism(a, b, result):
+        raise LiftFailedError("isomorphism search returned a non-isomorphism")
     return result
 
 

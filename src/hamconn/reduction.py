@@ -197,12 +197,6 @@ class PipelineContext:
     def e_n(self) -> int:
         return self.hn.e_n
 
-    @property
-    def subdivision_record(self) -> Optional[tuple[SubdivisionRecord, ...]]:
-        if not self.hn.subdivided:
-            return None
-        return tuple(self.hn.subdivided[ce] for ce in sorted(self.hn.subdivided))
-
 
 # -- terminal attachments -----------------------------------------------------------
 

@@ -1,10 +1,18 @@
-"""Exact trail and path search engines.
+"""Exact trail and path search, built on two backtracking engines.
 
-All searches are exhaustive depth-first backtracking over edge extensions,
-pruned by reachability over unused edges and memoized dead states keyed by
-``(current vertex, used-edge bitmask)``.  Loops are never traversed except
-when a loop is itself the prescribed through-edge; loop edges still count
-for domination checks.
+``_trail_search`` walks edge trails in a multigraph: a trail leaves a start
+vertex along a prescribed first edge and stops at a goal vertex, optionally
+taking a prescribed closing edge last.  Closed trails through an edge,
+spanning closed trails, dominating closed trails and internally dominating
+trails are all calls into it.  States are ``(current vertex, used-edge
+bitmask)``; dead states are memoized, and a state is pruned when the goal,
+a required vertex or (when asked) some edge's domination is out of reach
+along unused edges.  Loops are never traversed except when a loop is itself
+the prescribed first edge; loop edges still count for domination checks.
+
+``_hamiltonian_order`` orders the vertices of a simple graph from a start
+vertex to one of a set of end vertices; hamiltonian paths (one end) and
+hamiltonian cycles (the start's neighbors as ends) are calls into it.
 """
 
 from __future__ import annotations
@@ -92,8 +100,7 @@ class IdtWitness:
                 raise GraphError(f"edge ({u}, {v}) not dominated by interior vertices")
 
 
-def _incidence_arrays(h: Multigraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return h.incidence()
+# -- the edge-trail engine (multigraphs) ----------------------------------------
 
 
 def _cover_masks(h: Multigraph) -> list[int]:
@@ -117,48 +124,58 @@ def _component_mask(inc, cur: int, used: int) -> int:
     return comp
 
 
-def _closed_trail_search(
+def _trail_search(
     h: Multigraph,
+    start: int,
     first_edge: int,
+    goal: int,
     *,
-    min_edge_id: int = 0,
+    closing_edge: Optional[int] = None,
+    banned: int = 0,
     required_mask: int = 0,
     need_domination: bool = False,
 ) -> Optional[Trail]:
-    """A closed trail starting along ``first_edge`` that visits every required
-    vertex (and, when asked, whose vertex set dominates all edges).
+    """A trail leaving ``start`` along ``first_edge`` that stops at a vertex of
+    the bitmask ``goal`` and then traverses ``closing_edge`` if one is given.
 
-    Edges with id below ``min_edge_id`` are never traversed, which lets
-    callers canonicalize on the minimum edge id of the trail.  The first edge
-    may be a loop; no other loop is ever traversed.
+    ``seen`` holds the vertices after ``start`` up to and including the
+    current one: the vertex set of a closed trail once it is back at
+    ``start``, and the interior of a trail about to take its closing edge.
+    A trail is accepted when ``seen`` contains ``required_mask`` and, when
+    asked, touches every edge.  Loops, the ``banned`` edge mask and the
+    closing edge are never extended along; they start out in the used mask.
     """
-    h.check_edge(first_edge)
-    inc = _incidence_arrays(h)
-    loops = tuple(u == v for u, v in h.endpoints)
-    cover = _cover_masks(h) if need_domination else None
+    inc = h.incidence()
+    cover = _cover_masks(h)
     full_cover = (1 << h.edge_count) - 1
-    start, second = h.endpoints[first_edge]
+    used = banned | 1 << first_edge
+    for e, (u, v) in enumerate(h.endpoints):
+        if u == v:
+            used |= 1 << e
+    if closing_edge is not None:
+        used |= 1 << closing_edge
+    second = h.other_end(first_edge, start)
     verts = [start, second]
     edges = [first_edge]
     dead: set[tuple[int, int]] = set()
 
-    def search(cur: int, used: int, visited: int, covered: int) -> bool:
-        if cur == start and (required_mask & ~visited) == 0:
+    def search(cur: int, used: int, seen: int, covered: int) -> bool:
+        if goal >> cur & 1 and not (required_mask & ~seen):
             if not need_domination or covered == full_cover:
+                if closing_edge is not None:
+                    verts.append(h.other_end(closing_edge, cur))
+                    edges.append(closing_edge)
                 return True
         key = (cur, used)
         if key in dead:
             return False
         comp = _component_mask(inc, cur, used)
-        if cur != start and not (comp >> start & 1):
-            dead.add(key)
-            return False
-        if required_mask & ~visited & ~comp:
+        if not (comp & goal) or required_mask & ~(seen | comp):
             dead.add(key)
             return False
         if need_domination:
             future = covered
-            rest = comp & ~visited
+            rest = comp & ~seen
             while rest:
                 w = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
@@ -167,37 +184,45 @@ def _closed_trail_search(
                 dead.add(key)
                 return False
         for eid, w in inc[cur]:
-            if eid < min_edge_id or loops[eid] or (used >> eid & 1):
+            if used >> eid & 1:
                 continue
             verts.append(w)
             edges.append(eid)
-            next_cover = covered | cover[w] if need_domination else 0
-            if search(w, used | (1 << eid), visited | (1 << w), next_cover):
+            if search(w, used | (1 << eid), seen | (1 << w), covered | cover[w]):
                 return True
             verts.pop()
             edges.pop()
         dead.add(key)
         return False
 
-    initial_cover = (cover[start] | cover[second]) if need_domination else 0
-    if search(second, 1 << first_edge, (1 << start) | (1 << second), initial_cover):
-        trail = Trail(h, tuple(verts), tuple(edges))
+    if not search(second, used, 1 << second, cover[second]):
+        return None
+    return Trail(h, tuple(verts), tuple(edges))
+
+
+def _closed_trail(h: Multigraph, first_edge: int, **options) -> Optional[Trail]:
+    """A validated closed trail leaving the lower end of ``first_edge``."""
+    start = h.endpoints[first_edge][0]
+    trail = _trail_search(h, start, first_edge, 1 << start, **options)
+    if trail is not None:
         trail.validate()
-        return trail
-    return None
+    return trail
 
 
 def find_closed_trail_through(
     h: Multigraph, required_vertices: Sequence[int], through_edge: int
 ) -> Optional[Trail]:
     """A closed trail visiting every required vertex and traversing the
-    prescribed edge, or ``None`` after exhaustive search."""
+    prescribed edge, or ``None`` after exhaustive search.
+
+    The prescribed edge may be a loop; no other loop is ever traversed.
+    """
     h.check_edge(through_edge)
     required_mask = 0
     for v in required_vertices:
         h.check_vertex(v)
         required_mask |= 1 << v
-    return _closed_trail_search(h, through_edge, required_mask=required_mask)
+    return _closed_trail(h, through_edge, required_mask=required_mask)
 
 
 def find_spanning_closed_trail(h: Multigraph) -> Optional[Trail]:
@@ -213,7 +238,7 @@ def find_spanning_closed_trail(h: Multigraph) -> Optional[Trail]:
         if u == v:
             continue
         # Canonicalization: e is the minimum edge id on the trail.
-        trail = _closed_trail_search(h, e, min_edge_id=e, required_mask=all_vertices)
+        trail = _closed_trail(h, e, banned=(1 << e) - 1, required_mask=all_vertices)
         if trail is not None:
             return trail
     return None
@@ -234,7 +259,7 @@ def find_dct(h: Multigraph) -> Optional[Trail]:
     for e, (u, v) in enumerate(h.endpoints):
         if u == v:
             continue
-        trail = _closed_trail_search(h, e, min_edge_id=e, need_domination=True)
+        trail = _closed_trail(h, e, banned=(1 << e) - 1, need_domination=True)
         if trail is not None:
             return trail
     return None
@@ -251,70 +276,20 @@ def find_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
     h.check_edge(e2)
     if e1 == e2:
         raise GraphError("terminal edges of an internally dominating trail must differ")
-    inc = _incidence_arrays(h)
-    loops = tuple(u == v for u, v in h.endpoints)
-    cover = _cover_masks(h)
-    full_cover = (1 << h.edge_count) - 1
-    e2_ends = h.endpoints[e2]
-
+    x, y = h.endpoints[e2]
     a, b = h.endpoints[e1]
-    orientations = ((a, b),) if a == b else ((a, b), (b, a))
-    for start, second in orientations:
-        verts = [start, second]
-        edges = [e1]
-        dead: set[tuple[int, int]] = set()
-
-        def search(cur: int, used: int, interior: int) -> bool:
-            # Closing move: traverse e2 now and test the interior.
-            if not (used >> e2 & 1) and cur in e2_ends:
-                final_interior = interior | (1 << cur)
-                covered = 0
-                rest = final_interior
-                while rest:
-                    w = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    covered |= cover[w]
-                if covered == full_cover:
-                    verts.append(h.other_end(e2, cur))
-                    edges.append(e2)
-                    return True
-            key = (cur, used)
-            if key in dead:
-                return False
-            comp = _component_mask(inc, cur, used)
-            if not (comp >> e2_ends[0] & 1) and not (comp >> e2_ends[1] & 1):
-                dead.add(key)
-                return False
-            future = 0
-            rest = comp | interior | (1 << cur)
-            while rest:
-                w = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                future |= cover[w]
-            if future != full_cover:
-                dead.add(key)
-                return False
-            for eid, w in inc[cur]:
-                if eid == e2 or loops[eid] or (used >> eid & 1):
-                    continue
-                verts.append(w)
-                edges.append(eid)
-                if search(w, used | (1 << eid), interior | (1 << cur)):
-                    return True
-                verts.pop()
-                edges.pop()
-            dead.add(key)
-            return False
-
-        if search(second, 1 << e1, 0):
-            trail = Trail(h, tuple(verts), tuple(edges))
+    for start in (a,) if a == b else (a, b):
+        trail = _trail_search(
+            h, start, e1, 1 << x | 1 << y, closing_edge=e2, need_domination=True
+        )
+        if trail is not None:
             witness = IdtWitness(trail, e1, e2)
             witness.validate()
             return witness
     return None
 
 
-# -- hamiltonian paths and cycles (simple graphs) ------------------------------
+# -- the hamiltonian-order engine (simple graphs) ---------------------------------
 
 
 def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
@@ -333,57 +308,52 @@ def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
     return comp
 
 
-def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:
-    """A path visiting every vertex exactly once from ``a`` to ``b``.
+def _hamiltonian_order(g: SimpleGraph, start: int, ends: int) -> Optional[list[int]]:
+    """An order of all vertices that starts at ``start``, ends on a vertex of
+    the bitmask ``ends`` (which must not contain ``start``) and steps along
+    edges, or ``None``.
 
-    Exhaustive backtracking with pruning on disconnection of the unvisited
-    subgraph, forced-degree dead ends, and memoized dead states.
+    Exhaustive backtracking over (current vertex, visited set), pruned by
+    memoized dead states, disconnection of the unvisited subgraph, and
+    unvisited non-end vertices left with fewer than two usable neighbors;
+    candidates are tried most-constrained first.  The move into the last
+    unvisited vertex finishes the order, and the last unvisited end vertex
+    is never taken before that move.
     """
-    g.check_vertex(a)
-    g.check_vertex(b)
-    if a == b:
-        raise GraphError("hamiltonian path endpoints must differ")
-    n = g.n
     masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    if n == 1:
-        return None
-    b_bit = 1 << b
+    full = (1 << g.n) - 1
     dead: set[tuple[int, int]] = set()
-    order: list[int] = [a]
+    order = [start]
 
     def search(cur: int, visited: int) -> bool:
-        if visited == full:
-            return cur == b
         key = (cur, visited)
         if key in dead:
             return False
         unvisited = full & ~visited
-        # Finishing move into b.
-        if unvisited == b_bit:
-            if masks[cur] >> b & 1:
-                order.append(b)
+        if not unvisited & (unvisited - 1):
+            if masks[cur] & ends & unvisited:
+                order.append(unvisited.bit_length() - 1)
                 return True
             dead.add(key)
             return False
-        allowed = unvisited | (1 << cur)
-        comp = _bit_component(masks, 1 << cur, allowed)
+        cur_bit = 1 << cur
+        comp = _bit_component(masks, cur_bit, unvisited | cur_bit)
         if unvisited & ~comp:
             dead.add(key)
             return False
-        # Every unvisited vertex except b still needs an entry and an exit,
-        # drawn from the unvisited region (b may serve as exit), plus cur.
-        rest = unvisited & ~b_bit
-        cur_bit = 1 << cur
+        # Every unvisited vertex except an end still needs an entry and an
+        # exit, drawn from the unvisited region plus cur.
+        rest = unvisited & ~ends
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            avail = masks[v] & (unvisited | cur_bit)
-            if avail.bit_count() < 2:
+            if (masks[v] & (unvisited | cur_bit)).bit_count() < 2:
                 dead.add(key)
                 return False
-        candidates = masks[cur] & unvisited & ~b_bit
-        # Most-constrained-first ordering speeds up positive instances.
+        candidates = masks[cur] & unvisited
+        open_ends = unvisited & ends
+        if not open_ends & (open_ends - 1):
+            candidates &= ~open_ends
         ranked = []
         while candidates:
             w = (candidates & -candidates).bit_length() - 1
@@ -397,16 +367,24 @@ def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:
         dead.add(key)
         return False
 
-    if not search(a, 1 << a):
-        return None
-    edge_ids = {}
-    for e, (u, v) in enumerate(g.endpoints):
-        edge_ids[(u, v)] = e
-        edge_ids[(v, u)] = e
-    edges = tuple(edge_ids[(order[i], order[i + 1])] for i in range(len(order) - 1))
+    return order if search(start, 1 << start) else None
+
+
+def _order_trail(g: SimpleGraph, order: Sequence[int]) -> Trail:
+    edges = tuple(g.edge_id(u, v) for u, v in zip(order, order[1:]))
     trail = Trail(g, tuple(order), edges)
     trail.validate()
     return trail
+
+
+def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:
+    """A path visiting every vertex exactly once from ``a`` to ``b``."""
+    g.check_vertex(a)
+    g.check_vertex(b)
+    if a == b:
+        raise GraphError("hamiltonian path endpoints must differ")
+    order = _hamiltonian_order(g, a, 1 << b)
+    return None if order is None else _order_trail(g, order)
 
 
 def missing_hamiltonian_pair(g: SimpleGraph) -> Optional[tuple[int, int]]:
@@ -437,64 +415,10 @@ def find_hamiltonian_cycle(g: SimpleGraph) -> Optional[Trail]:
     """A spanning cycle as a closed trail, or ``None``."""
     if g.n < 3:
         raise GraphError("hamiltonian cycles need at least 3 vertices")
-    n = g.n
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
     if not g.is_connected():
         return None
-    dead: set[tuple[int, int]] = set()
-    order: list[int] = [0]
-    home = 1
-
-    def search(cur: int, visited: int) -> bool:
-        if visited == full:
-            return bool(masks[cur] & home)
-        key = (cur, visited)
-        if key in dead:
-            return False
-        unvisited = full & ~visited
-        allowed = unvisited | (1 << cur)
-        comp = _bit_component(masks, 1 << cur, allowed)
-        if unvisited & ~comp:
-            dead.add(key)
-            return False
-        if not (unvisited & masks[0]):
-            dead.add(key)
-            return False
-        cur_bit = 1 << cur
-        rest = unvisited
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            avail = masks[v] & (unvisited | cur_bit | home)
-            if avail.bit_count() < 2:
-                dead.add(key)
-                return False
-        candidates = masks[cur] & unvisited
-        ranked = []
-        while candidates:
-            w = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            ranked.append(((masks[w] & unvisited).bit_count(), w))
-        for _, w in sorted(ranked):
-            order.append(w)
-            if search(w, visited | (1 << w)):
-                return True
-            order.pop()
-        dead.add(key)
-        return False
-
-    if not search(0, 1):
-        return None
-    order.append(0)
-    edge_ids = {}
-    for e, (u, v) in enumerate(g.endpoints):
-        edge_ids[(u, v)] = e
-        edge_ids[(v, u)] = e
-    edges = tuple(edge_ids[(order[i], order[i + 1])] for i in range(len(order) - 1))
-    trail = Trail(g, tuple(order), edges)
-    trail.validate()
-    return trail
+    order = _hamiltonian_order(g, 0, g.adjacency_masks()[0])
+    return None if order is None else _order_trail(g, order + [0])
 
 
 def is_hamiltonian(g: SimpleGraph) -> bool:

@@ -28,6 +28,15 @@ class TestVerifyEnumerated:
         assert single.stage_counts == dual.stage_counts
         assert single.violations == dual.violations
 
+    def test_failed_monotonicity_check_raises(self, monkeypatch):
+        from hamconn.errors import LiftFailedError
+
+        monkeypatch.setattr(VerificationReport, "check_monotone", lambda self: False)
+        with pytest.raises(LiftFailedError):
+            verify_theorem_enumerated(3, "thm1")
+        with pytest.raises(LiftFailedError):
+            verify_theorem_graphs([cycle_graph(4)], "ageev")
+
     def test_unknown_hypothesis(self):
         from hamconn.errors import GraphError
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hamconn.corpus import (
+    connected_graphs_up_to_isomorphism,
     enumerate_multigraph_corpus,
     random_3_edge_connected_multigraph,
     random_multigraph,
@@ -32,6 +33,11 @@ from oracles import (
     brute_idt,
     spanning_connected_even_subgraph_exists,
 )
+
+
+@pytest.fixture(scope="module")
+def connected_graphs_6():
+    return connected_graphs_up_to_isomorphism(6)
 
 
 class TestTrailType:
@@ -223,6 +229,17 @@ class TestHamiltonianPath:
                 assert len(set(mine.vertices)) == n
 
 
+    def test_exhaustive_against_permutation_oracle(self, connected_graphs_6):
+        for g in connected_graphs_6:
+            for a, b in itertools.permutations(range(g.n), 2):
+                mine = hamiltonian_path(g, a, b)
+                assert (mine is not None) == brute_hamiltonian_path(g, a, b), (g.endpoints, a, b)
+                if mine is not None:
+                    mine.validate()
+                    assert mine.vertices[0] == a and mine.vertices[-1] == b
+                    assert len(set(mine.vertices)) == g.n
+
+
 class TestHamiltonian:
     def test_c5(self, c5):
         assert is_hamiltonian(c5)
@@ -250,6 +267,16 @@ class TestHamiltonian:
             if mine is not None:
                 mine.validate()
                 assert mine.is_closed and len(mine.edges) == n
+
+    def test_exhaustive_against_permutation_oracle(self, connected_graphs_6):
+        for g in connected_graphs_6:
+            if g.n < 3:
+                continue
+            mine = find_hamiltonian_cycle(g)
+            assert (mine is not None) == brute_hamiltonian_cycle(g), g.endpoints
+            if mine is not None:
+                mine.validate()
+                assert mine.is_closed and len(set(mine.vertices)) == g.n == len(mine.edges)
 
 
 class TestHamiltonianConnected:
