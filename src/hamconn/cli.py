@@ -11,7 +11,7 @@ Commands:
   corpus          generate seeded random corpora (sparse6, one per line)
 
 Exit codes: 0 success / zero violations, 1 violations found, 2 input error,
-3 internal validation failure.
+3 internal failure (a failed validation or any other unexpected error).
 """
 
 from __future__ import annotations
@@ -135,6 +135,16 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamconn",
@@ -151,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a theorem over a corpus")
     p.add_argument("--hypothesis", choices=HYPOTHESES, default="thm1")
     p.add_argument("--n", type=int, default=6, help="enumerate all labeled graphs up to this order")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--emit-witnesses", help="write violating graphs to this file")
     add_input_options(p, named=False)
     p.set_defaults(func=cmd_verify)
@@ -195,6 +205,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Anything else is a fault of the program, never "violations found".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,6 +2,11 @@
 
 Everything here is exact.  The search routines are written for desk-scale
 inputs (a few dozen vertices); they use bitmask adjacency throughout.
+
+``is_k_connected`` decides ``k <= 3`` without max-flow: after the degree
+check it removes every vertex set of size ``k - 1`` and tests what is left
+for connectivity with one bitmask search.  Larger ``k`` and the exact value
+go through ``vertex_connectivity``, the one max-flow path.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DisconnectedGraphError, GraphError, LiftFailedError
-from .multigraph import Multigraph, SimpleGraph
+from .multigraph import Multigraph, SimpleGraph, _bit_component
 
 
 # -- claws ---------------------------------------------------------------------
@@ -21,12 +26,22 @@ def find_claw(g: SimpleGraph) -> Optional[tuple[int, int, int, int]]:
     """An induced claw ``(center, a, b, c)`` with pairwise non-adjacent leaves."""
     masks = g.adjacency_masks()
     for center in range(g.n):
-        nbrs = g.neighbors(center)
-        if len(nbrs) < 3:
+        nbrs = masks[center]
+        if nbrs.bit_count() < 3:
             continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if not (masks[a] >> b & 1) and not (masks[a] >> c & 1) and not (masks[b] >> c & 1):
-                return (center, a, b, c)
+        # Leaves in lexicographic order: a < b < c, each outside the
+        # neighborhoods of the smaller ones.
+        rest_a = nbrs
+        while rest_a:
+            a = (rest_a & -rest_a).bit_length() - 1
+            rest_a &= rest_a - 1
+            rest_b = rest_a & ~masks[a]
+            while rest_b:
+                b = (rest_b & -rest_b).bit_length() - 1
+                rest_b &= rest_b - 1
+                rest_c = rest_b & ~masks[b]
+                if rest_c:
+                    return (center, a, b, (rest_c & -rest_c).bit_length() - 1)
     return None
 
 
@@ -154,7 +169,20 @@ def is_k_connected(g: SimpleGraph, k: int) -> bool:
         return g.is_complete() and n - 1 >= k
     if min(g.degrees(), default=0) < k:
         return False
-    return vertex_connectivity(g) >= k
+    if k > 3:
+        return vertex_connectivity(g) >= k
+    # With minimum degree >= k, every component left by deleting fewer than
+    # k - 1 vertices has at least 3 vertices, so deleting one more vertex
+    # from it keeps the rest disconnected: sets of size k - 1 suffice.
+    masks = g.adjacency_masks()
+    full = (1 << n) - 1
+    for removed in itertools.combinations(range(n), k - 1):
+        allowed = full
+        for v in removed:
+            allowed &= ~(1 << v)
+        if _bit_component(masks, allowed & -allowed, allowed) != allowed:
+            return False
+    return True
 
 
 # -- edge connectivity (multigraphs, loops ignored) -------------------------------

@@ -21,6 +21,24 @@ from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertex
 ISOMORPHISM_SIZE_GUARD = 32
 
 
+def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
+    """The vertices of ``allowed`` reachable from ``seed`` inside ``allowed``,
+    as a bitmask; ``masks`` are per-vertex neighbor bitmasks."""
+    comp = seed & allowed
+    frontier = comp
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= masks[v]
+        nxt &= allowed & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
+
+
 class Multigraph:
     """Undirected multigraph on vertices ``0..n-1``.
 
@@ -28,7 +46,7 @@ class Multigraph:
     normalized with the smaller vertex first.
     """
 
-    __slots__ = ("n", "endpoints", "_incidence", "_degrees")
+    __slots__ = ("n", "endpoints", "_incidence", "_degrees", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -42,6 +60,7 @@ class Multigraph:
         self.endpoints: tuple[tuple[int, int], ...] = tuple(normalized)
         self._incidence: Optional[tuple] = None
         self._degrees: Optional[tuple[int, ...]] = None
+        self._adjacency: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -96,6 +115,17 @@ class Multigraph:
             self._degrees = tuple(deg)
         return self._degrees
 
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per-vertex bitmasks of distinct neighbors; loops are ignored."""
+        if self._adjacency is None:
+            masks = [0] * self.n
+            for u, v in self.endpoints:
+                if u != v:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            self._adjacency = tuple(masks)
+        return self._adjacency
+
     def incident_edges(self, v: int) -> tuple[int, ...]:
         self.check_vertex(v)
         return tuple(e for e, _ in self.incidence()[v])
@@ -117,21 +147,8 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         """Reachability over non-loop edges; the empty graph counts as connected."""
-        if self.n <= 1:
-            return True
-        inc = self.incidence()
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for _, w in inc[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        full = (1 << self.n) - 1
+        return _bit_component(self.adjacency_masks(), 1, full) == full
 
     def component_of(self, v: int, forbidden_edges: frozenset[int] = frozenset()) -> frozenset[int]:
         """Vertices reachable from ``v`` avoiding ``forbidden_edges``."""
@@ -284,7 +301,7 @@ class Multigraph:
 class SimpleGraph(Multigraph):
     """Loop-free multigraph without parallel edges."""
 
-    __slots__ = ("_adjacency",)
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
@@ -295,17 +312,6 @@ class SimpleGraph(Multigraph):
             if (u, v) in seen:
                 raise GraphError(f"parallel edge ({u}, {v}) not allowed in a simple graph")
             seen.add((u, v))
-        self._adjacency: Optional[tuple[int, ...]] = None
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks."""
-        if self._adjacency is None:
-            masks = [0] * self.n
-            for u, v in self.endpoints:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._adjacency = tuple(masks)
-        return self._adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)

@@ -12,7 +12,14 @@ the prescribed first edge; loop edges still count for domination checks.
 
 ``_hamiltonian_order`` orders the vertices of a simple graph from a start
 vertex to one of a set of end vertices; hamiltonian paths (one end) and
-hamiltonian cycles (the start's neighbors as ends) are calls into it.
+hamiltonian cycles (the start's neighbors as ends) are calls into it.  Its
+collect mode serves ``missing_hamiltonian_pair`` with one search per start
+vertex ``a``: the search runs on past each order found, drops the end it
+reached from the ends still sought (every ``b > a``), and reports which
+ends it reached.  Dead states are memoized under one int key,
+``visited << n.bit_length() | cur``; a state with no completion toward a
+set of ends has none toward any subset, so the memo stays sound while the
+ends shrink.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GraphError
-from .multigraph import Multigraph, SimpleGraph
+from .errors import GraphError, LiftFailedError
+from .multigraph import Multigraph, SimpleGraph, _bit_component
 
 
 @dataclass(frozen=True)
@@ -292,48 +299,67 @@ def find_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
 # -- the hamiltonian-order engine (simple graphs) ---------------------------------
 
 
-def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
-    comp = seed & allowed
-    frontier = comp
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= masks[v]
-        nxt &= allowed & ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp
+def _check_order(masks: Sequence[int], order: Sequence[int]) -> None:
+    """Raise unless ``order`` lists every vertex once and steps along edges."""
+    if sorted(order) != list(range(len(masks))):
+        raise LiftFailedError(f"hamiltonian search returned a non-permutation {order}")
+    for u, v in zip(order, order[1:]):
+        if not masks[u] >> v & 1:
+            raise LiftFailedError(f"hamiltonian search stepped along a non-edge ({u}, {v})")
 
 
-def _hamiltonian_order(g: SimpleGraph, start: int, ends: int) -> Optional[list[int]]:
+def _hamiltonian_order(
+    g: SimpleGraph, start: int, ends: int, *, collect: bool = False
+) -> "Optional[list[int]] | int":
     """An order of all vertices that starts at ``start``, ends on a vertex of
     the bitmask ``ends`` (which must not contain ``start``) and steps along
     edges, or ``None``.
 
     Exhaustive backtracking over (current vertex, visited set), pruned by
-    memoized dead states, disconnection of the unvisited subgraph, and
-    unvisited non-end vertices left with fewer than two usable neighbors;
-    candidates are tried most-constrained first.  The move into the last
-    unvisited vertex finishes the order, and the last unvisited end vertex
-    is never taken before that move.
+    memoized dead states, by an unvisited region with no end left or not
+    connected to the current vertex, and by unvisited vertices left with
+    fewer than two usable neighbors: at most one may remain, and it must be
+    an end.  Candidates are tried most-constrained first.  The move into the
+    last unvisited vertex finishes the order; neither the last unvisited end
+    nor a vertex that can only come last is taken before that move.
+
+    With ``collect`` the search does not stop at the first order: each order
+    found is checked, its end is dropped from ``ends``, and the search goes
+    on until no end is left or the space is exhausted.  The bitmask of the
+    ends reached is returned.
     """
     masks = g.adjacency_masks()
     full = (1 << g.n) - 1
-    dead: set[tuple[int, int]] = set()
+    shift = g.n.bit_length()
+    # A dead state has no completion toward the current ends, hence none
+    # toward the smaller sets that collect mode shrinks them to.  A fully
+    # explored state is dead: every end it reached was dropped on the way.
+    dead: set[int] = set()
     order = [start]
+    reached = 0
 
     def search(cur: int, visited: int) -> bool:
-        key = (cur, visited)
+        """Explore from the state; True stops the whole search."""
+        nonlocal ends, reached
+        key = visited << shift | cur
         if key in dead:
             return False
         unvisited = full & ~visited
         if not unvisited & (unvisited - 1):
             if masks[cur] & ends & unvisited:
                 order.append(unvisited.bit_length() - 1)
-                return True
+                if not collect:
+                    return True
+                _check_order(masks, order)
+                ends &= ~unvisited
+                reached |= unvisited
+                order.pop()
+                if not ends:
+                    return True
+            dead.add(key)
+            return False
+        open_ends = unvisited & ends
+        if not open_ends:
             dead.add(key)
             return False
         cur_bit = 1 << cur
@@ -341,17 +367,21 @@ def _hamiltonian_order(g: SimpleGraph, start: int, ends: int) -> Optional[list[i
         if unvisited & ~comp:
             dead.add(key)
             return False
-        # Every unvisited vertex except an end still needs an entry and an
-        # exit, drawn from the unvisited region plus cur.
-        rest = unvisited & ~ends
+        # Every unvisited vertex but the last still needs an entry and an
+        # exit, drawn from the unvisited region plus cur; the one that
+        # cannot have both must be the last, so it must be an end.
+        region = unvisited | cur_bit
+        last = 0
+        rest = unvisited
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            if (masks[v] & (unvisited | cur_bit)).bit_count() < 2:
-                dead.add(key)
-                return False
-        candidates = masks[cur] & unvisited
-        open_ends = unvisited & ends
+            if (masks[v] & region).bit_count() < 2:
+                if last or not ends >> v & 1:
+                    dead.add(key)
+                    return False
+                last = 1 << v
+        candidates = masks[cur] & unvisited & ~last
         if not open_ends & (open_ends - 1):
             candidates &= ~open_ends
         ranked = []
@@ -367,7 +397,10 @@ def _hamiltonian_order(g: SimpleGraph, start: int, ends: int) -> Optional[list[i
         dead.add(key)
         return False
 
-    return order if search(start, 1 << start) else None
+    found = search(start, 1 << start)
+    if collect:
+        return reached
+    return order if found else None
 
 
 def _order_trail(g: SimpleGraph, order: Sequence[int]) -> Trail:
@@ -391,10 +424,12 @@ def missing_hamiltonian_pair(g: SimpleGraph) -> Optional[tuple[int, int]]:
     """The first vertex pair without a hamiltonian path, or ``None``."""
     if g.n < 2:
         raise GraphError("hamiltonian connectivity needs at least 2 vertices")
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if hamiltonian_path(g, a, b) is None:
-                return (a, b)
+    full = (1 << g.n) - 1
+    for a in range(g.n - 1):
+        targets = full & ~((2 << a) - 1)
+        missing = targets & ~_hamiltonian_order(g, a, targets, collect=True)
+        if missing:
+            return (a, (missing & -missing).bit_length() - 1)
     return None
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from hamconn import cli
 from hamconn.cli import main
 from hamconn.encoding import encode_graph6
 from hamconn.linegraph import line_graph
@@ -28,6 +29,26 @@ class TestVerifyCommand:
         assert main(["verify", "--input", str(path), "--hypothesis", "thm1"]) == 0
         out = capsys.readouterr().out
         assert "domination<=3            0" in out
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("count", ["0", "-2", "two"])
+    def test_rejected_at_parse_time(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "3", "--workers", count])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+class TestUnexpectedErrors:
+    def test_recursion_error_exits_internal(self, monkeypatch, capsys):
+        def deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_props", deep)
+        assert main(["props", "--named", "petersen"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 class TestPropsCommand:

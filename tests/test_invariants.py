@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from hamconn.corpus import random_connected_multigraph_with_loops, random_multigraph
+from hamconn.corpus import (
+    enumerate_labeled,
+    random_connected_multigraph_with_loops,
+    random_multigraph,
+)
 from hamconn.errors import DisconnectedGraphError, GraphError
 from hamconn.invariants import (
     dominating_set,
@@ -93,6 +97,13 @@ class TestVertexConnectivity:
             kappa = vertex_connectivity(g)
             for k in range(0, n + 1):
                 assert is_k_connected(g, k) == (kappa >= k)
+
+    def test_is_k_connected_exhaustive(self):
+        for n in range(6):
+            for g in enumerate_labeled(n):
+                kappa = vertex_connectivity(g)
+                for k in range(1, 5):
+                    assert is_k_connected(g, k) == (kappa >= k), (g.endpoints, k)
 
 
 class TestDomination:

@@ -212,3 +212,11 @@ class TestConnectivityQueries:
         from hamconn.constructions import petersen
 
         assert petersen().is_connected()
+
+    def test_matches_component_of_with_loops(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
+            g = Multigraph(n, edges)
+            assert g.is_connected() == (len(g.component_of(0)) == n), g

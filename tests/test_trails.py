@@ -290,6 +290,23 @@ class TestHamiltonianConnected:
         assert is_hamiltonian_connected(complete_graph(2))
         assert not is_hamiltonian_connected(SimpleGraph(2, []))
 
+    def test_first_missing_pair_against_permutation_oracle(self, connected_graphs_6):
+        for g in connected_graphs_6:
+            if g.n < 2:
+                continue
+            expected = next(
+                (
+                    (a, b)
+                    for a, b in itertools.combinations(range(g.n), 2)
+                    if not brute_hamiltonian_path(g, a, b)
+                ),
+                None,
+            )
+            assert missing_hamiltonian_pair(g) == expected, g.endpoints
+
+    def test_more_than_64_vertices(self):
+        assert missing_hamiltonian_pair(cycle_graph(70)) == (0, 2)
+
 
 class TestTrailEquivalences:
     """Hamiltonicity of a line graph corresponds to a dominating closed
