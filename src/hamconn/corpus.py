@@ -17,7 +17,7 @@ from typing import Iterator, Union
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
-from .multigraph import Multigraph, SimpleGraph, find_isomorphism
+from .multigraph import Multigraph, SimpleGraph, canonical_labeling, relabel
 
 MAX_ENUMERATION_VERTICES = 7
 
@@ -82,20 +82,14 @@ def enumerate_labeled_upto(n: int) -> Iterator[SimpleGraph]:
 
 
 def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:
-    """One representative per isomorphism class of connected simple graphs."""
-    reps: list[SimpleGraph] = []
-    buckets: dict[tuple, list[SimpleGraph]] = {}
+    """One representative per isomorphism class of connected simple graphs:
+    the first labeled graph of each class in enumeration order."""
+    reps: dict[tuple, SimpleGraph] = {}
     for n in range(1, max_vertices + 1):
         for g in enumerate_labeled(n):
-            if not g.is_connected():
-                continue
-            key = (n, g.edge_count, tuple(sorted(g.degrees())))
-            bucket = buckets.setdefault(key, [])
-            if any(find_isomorphism(g, r) is not None for r in bucket):
-                continue
-            bucket.append(g)
-            reps.append(g)
-    return reps
+            if g.is_connected():
+                reps.setdefault((n, relabel(g, canonical_labeling(g)).sorted_edge_multiset()), g)
+    return list(reps.values())
 
 
 def enumerate_multigraph_corpus(

@@ -248,18 +248,22 @@ def dominating_set(g: SimpleGraph, k: int) -> Optional[DominatingSet]:
         missing = full & ~covered
         if missing.bit_count() > budget * max_cover:
             return None
-        # Branch on an uncovered vertex with the fewest potential dominators.
-        pick, pick_cands = -1, None
+        # Branch on an uncovered vertex with the fewest potential dominators;
+        # those of u are closed[u], as closed neighborhoods are symmetric.
+        pick = full
         rest = missing
         while rest:
             u = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            cands = [v for v in range(n) if closed[v] >> u & 1]
-            if pick_cands is None or len(cands) < len(pick_cands):
-                pick, pick_cands = u, cands
-                if len(cands) == 1:
+            if closed[u].bit_count() < pick.bit_count():
+                pick = closed[u]
+                if pick.bit_count() == 1:
                     break
-        for v in sorted(pick_cands, key=lambda x: -(closed[x] & ~covered).bit_count()):
+        cands = []
+        while pick:
+            cands.append((pick & -pick).bit_length() - 1)
+            pick &= pick - 1
+        for v in sorted(cands, key=lambda x: -(closed[x] & ~covered).bit_count()):
             result = search(covered | closed[v], chosen + (v,), budget - 1)
             if result is not None:
                 return result

@@ -7,6 +7,11 @@ construction: editing operations (:meth:`Multigraph.subdivide`,
 :meth:`Multigraph.suppress`, :meth:`Multigraph.contract`) return new graphs
 together with the id renumbering they induced, so callers can track any edge
 or vertex through an edit.
+
+Isomorphism has one engine, :func:`canonical_labeling`: individualization
+and refinement with automorphism pruning (McKay & Piperno, "Practical graph
+isomorphism, II", 2014), which shortcuts sets of twin vertices.
+:func:`find_isomorphism` compares the canonical forms of its two graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 
-#: Default cap for the backtracking isomorphism search.
+#: Default vertex cap for canonical labeling and the isomorphism tests built
+#: on it; its search is exponential in the worst case.
 ISOMORPHISM_SIZE_GUARD = 32
 
 
@@ -125,10 +131,6 @@ class Multigraph:
                     masks[v] |= 1 << u
             self._adjacency = tuple(masks)
         return self._adjacency
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return tuple(e for e, _ in self.incidence()[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of ``v`` through non-loop edges, ascending."""
@@ -267,20 +269,6 @@ class Multigraph:
         graph = Multigraph(self.n, self.endpoints + ((u, v) if u <= v else (v, u),))
         return graph, graph.edge_count - 1
 
-    def without_edges(self, edge_ids: Iterable[int]) -> tuple["Multigraph", dict[int, int]]:
-        """Delete edges, compacting ids; vertices stay put."""
-        drop = set(edge_ids)
-        for e in drop:
-            self.check_edge(e)
-        new_edges = []
-        edge_map = {}
-        for old, pair in enumerate(self.endpoints):
-            if old in drop:
-                continue
-            edge_map[old] = len(new_edges)
-            new_edges.append(pair)
-        return Multigraph(self.n, new_edges), edge_map
-
     # -- equality / hashing (labeled, structural) ---------------------------
 
     def sorted_edge_multiset(self) -> tuple[tuple[int, int], ...]:
@@ -409,29 +397,6 @@ class ContractionMap:
 # -- isomorphism --------------------------------------------------------------
 
 
-def _refine_colors(g: Multigraph) -> tuple[int, ...]:
-    """Iterated neighborhood refinement; equal colors are a necessary condition
-    for two vertices to correspond under an isomorphism.
-
-    Colors are renumbered by sorted profile each round, which makes them
-    comparable across different graphs.
-    """
-    profiles = [(g.degrees()[v], g.loop_count(v)) for v in range(g.n)]
-    table = {p: i for i, p in enumerate(sorted(set(profiles)))}
-    colors = [table[p] for p in profiles]
-    for _ in range(g.n):
-        profiles = [
-            (colors[v], tuple(sorted(colors[w] for _, w in g.incidence()[v] if w != v)))
-            for v in range(g.n)
-        ]
-        table = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        new = [table[p] for p in profiles]
-        if new == colors:
-            break
-        colors = new
-    return tuple(colors)
-
-
 def _multiplicity_rows(g: Multigraph) -> list[dict[int, int]]:
     rows: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for u, v in g.endpoints:
@@ -441,12 +406,126 @@ def _multiplicity_rows(g: Multigraph) -> list[dict[int, int]]:
     return rows
 
 
+def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> tuple[int, ...]:
+    """A relabeling permutation depending only on the isomorphism class:
+    ``relabel(a, canonical_labeling(a)) == relabel(b, canonical_labeling(b))``
+    whenever ``a`` and ``b`` are isomorphic.
+
+    Individualization-refinement with automorphism pruning (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).  Each search node is a vertex
+    coloring refined until no color class splits; a node branches on its
+    smallest class that is not a set of twins, individualizing each member
+    in turn.  A node whose classes are singletons or sets of twins is a
+    leaf, labeled by (color, vertex); the least sorted edge list over the
+    leaves is the canonical form.  Exponential in the worst case, fine at
+    desk scale.
+    """
+    n = g.n
+    if n > size_guard:
+        raise GraphError(f"canonical labeling capped at {size_guard} vertices")
+    if n == 0:
+        return ()
+    rows = _multiplicity_rows(g)
+    adj = [[w for w, k in row.items() for _ in range(k)] for row in rows]
+
+    def refine(colors: list[int]) -> list[int]:
+        # Recolor by (color, sorted neighbor colors with multiplicity) and
+        # renumber in sorted order, so cells split in place and the colors
+        # are comparable across isomorphic graphs.
+        count = len(set(colors))
+        while True:
+            keys = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(n)]
+            table = {key: i for i, key in enumerate(sorted(set(keys)))}
+            colors = [table[key] for key in keys]
+            if len(table) == count:
+                return colors
+            count = len(table)
+
+    root = refine([0] * n)
+    # Twins (equal loops and equal multiplicity to every other vertex) are
+    # swapped by an automorphism, so they share a root color; twin[v] is the
+    # least vertex of v's twin class, and the swaps seed the orbit pruning.
+    # Equal root colors give equal degrees, so a pair with equal multiplicity
+    # to every other vertex also has equal loop counts.
+    twin = list(range(n))
+    auts = []
+    for v in range(n):
+        for w in range(v):
+            if twin[w] != w or root[w] != root[v]:
+                continue
+            others = (rows[v].keys() | rows[w].keys()) - {v, w}
+            if all(rows[v].get(x, 0) == rows[w].get(x, 0) for x in others):
+                twin[v] = w
+                auts.append([v if x == w else w if x == v else x for x in range(n)])
+                break
+    best: dict = {"code": None}
+
+    def search(colors: list[int], path: list[int]) -> int:
+        """Explore one node; return the depth at which the search resumes."""
+        depth = len(path)
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target, color = None, -1
+        for c in sorted(cells):
+            cell = cells[c]
+            if any(twin[v] != twin[cell[0]] for v in cell):
+                if target is None or len(cell) < len(target):
+                    target, color = cell, c
+        if target is None:
+            # Every order of the remaining twin classes gives the same code.
+            order = sorted(range(n), key=lambda v: (colors[v], v))
+            perm = [0] * n
+            for position, v in enumerate(order):
+                perm[v] = position
+            code = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.endpoints)
+            if best["code"] is None or code < best["code"]:
+                best.update(code=code, perm=perm, order=order, path=path)
+                return depth
+            if code != best["code"]:
+                return depth
+            # Equal codes: this leaf and the best one differ by an automorphism
+            # that maps this branch below their common ancestor onto the
+            # explored branch of the best leaf, so the search resumes there.
+            auts.append([best["order"][perm[v]] for v in range(n)])
+            common = 0
+            while path[common] == best["path"][common]:
+                common += 1
+            return common
+        # Children in one orbit of the automorphisms found so far that fix
+        # the path pointwise have subtrees with the same codes.
+        explored: set[int] = set()
+        for v in target:
+            if v in explored:
+                continue
+            child = [2 * c for c in colors]
+            for w in target:
+                child[w] = 2 * color + 1
+            child[v] = 2 * color
+            resume = search(refine(child), path + [v])
+            if resume < depth:
+                return resume
+            explored.add(v)
+            fixing = [aut for aut in auts if all(aut[p] == p for p in path)]
+            stack = list(explored)
+            while stack:
+                x = stack.pop()
+                for aut in fixing:
+                    if aut[x] not in explored:
+                        explored.add(aut[x])
+                        stack.append(aut[x])
+        return depth
+
+    search(root, [])
+    return tuple(best["perm"])
+
+
 def find_isomorphism(
     a: Multigraph, b: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD
 ) -> Optional[tuple[int, ...]]:
     """A degree- and multiplicity-preserving vertex bijection, or ``None``.
 
-    Backtracking with color refinement pruning; intended for desk-scale
+    Compares the canonical forms of ``a`` and ``b``; intended for desk-scale
     graphs only, hence the size guard.
     """
     if a.n > size_guard or b.n > size_guard:
@@ -455,44 +534,12 @@ def find_isomorphism(
         return None
     if sorted(a.degrees()) != sorted(b.degrees()):
         return None
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
+    perm_a = canonical_labeling(a, size_guard=size_guard)
+    perm_b = canonical_labeling(b, size_guard=size_guard)
+    if relabel(a, perm_a) != relabel(b, perm_b):
         return None
-    rows_a, rows_b = _multiplicity_rows(a), _multiplicity_rows(b)
-    # Map vertices of a in order of ascending color-class size (most constrained first).
-    class_size = {c: cb.count(c) for c in set(cb)}
-    order = sorted(range(a.n), key=lambda v: (class_size[ca[v]], ca[v], v))
-    mapping: list[int] = [-1] * a.n
-    used = [False] * b.n
-
-    def extend(idx: int) -> bool:
-        if idx == a.n:
-            return True
-        v = order[idx]
-        for w in range(b.n):
-            if used[w] or cb[w] != ca[v]:
-                continue
-            if rows_a[v].get(v, 0) != rows_b[w].get(w, 0):
-                continue
-            ok = True
-            for prev_idx in range(idx):
-                p = order[prev_idx]
-                if rows_a[v].get(p, 0) != rows_b[w].get(mapping[p], 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(idx + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    if not extend(0):
-        return None
-    result = tuple(mapping)
+    inv_b = sorted(range(b.n), key=perm_b.__getitem__)
+    result = tuple(inv_b[perm_a[v]] for v in range(a.n))
     if not _is_isomorphism(a, b, result):
         raise LiftFailedError("isomorphism search returned a non-isomorphism")
     return result
@@ -509,69 +556,6 @@ def _is_isomorphism(a: Multigraph, b: Multigraph, mapping: Sequence[int]) -> boo
 
 def isomorphic(a: Multigraph, b: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> bool:
     return find_isomorphism(a, b, size_guard=size_guard) is not None
-
-
-def _twins(rows: list[dict[int, int]], v: int, w: int) -> bool:
-    """Whether swapping ``v`` and ``w`` is an automorphism (equal loops and
-    equal multiplicities to every other vertex)."""
-    if rows[v].get(v, 0) != rows[w].get(w, 0):
-        return False
-    keys = (set(rows[v]) | set(rows[w])) - {v, w}
-    return all(rows[v].get(x, 0) == rows[w].get(x, 0) for x in keys)
-
-
-def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> tuple[int, ...]:
-    """A relabeling permutation depending only on the isomorphism class:
-    ``relabel(a, canonical_labeling(a)) == relabel(b, canonical_labeling(b))``
-    whenever ``a`` and ``b`` are isomorphic.
-
-    Backtracking over refinement-color-minimal orderings, taking the minimal
-    adjacency code over the explored leaves; exponential in the worst case,
-    fine at desk scale.
-    """
-    n = g.n
-    if n > size_guard:
-        raise GraphError(f"canonical labeling capped at {size_guard} vertices")
-    if n == 0:
-        return ()
-    colors = _refine_colors(g)
-    rows = _multiplicity_rows(g)
-    best: dict = {"code": None, "perm": None}
-
-    def extend(prefix: list[int], remaining: list[int], code: tuple) -> None:
-        if not remaining:
-            if best["code"] is None or code < best["code"]:
-                best["code"] = code
-                best["perm"] = tuple(prefix)
-            return
-        keyed = [
-            (
-                (colors[v], rows[v].get(v, 0), tuple(rows[v].get(u, 0) for u in prefix)),
-                v,
-            )
-            for v in remaining
-        ]
-        min_key = min(key for key, _ in keyed)
-        new_code = code + (min_key,)
-        if best["code"] is not None and new_code > best["code"][: len(new_code)]:
-            return
-        # Twin candidates (interchangeable by a transposition automorphism)
-        # yield identical subtrees; explore one representative per twin class.
-        chosen: list[int] = []
-        for key, v in keyed:
-            if key != min_key:
-                continue
-            if any(_twins(rows, v, w) for w in chosen):
-                continue
-            chosen.append(v)
-        for v in chosen:
-            extend(prefix + [v], [u for u in remaining if u != v], new_code)
-
-    extend([], list(range(n)), ())
-    out = [0] * n
-    for position, old in enumerate(best["perm"]):
-        out[old] = position
-    return tuple(out)
 
 
 def relabel(g: Multigraph, permutation: Sequence[int]) -> Multigraph:

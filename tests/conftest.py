@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hamconn.corpus import connected_graphs_up_to_isomorphism
 from hamconn.multigraph import (
     Multigraph,
     complete_graph,
@@ -52,3 +53,9 @@ def k4_with_pendants():
 def triangle_with_pendant():
     """Triangle 0,1,2 plus the pendant edge (0, 3)."""
     return Multigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+
+
+@pytest.fixture(scope="session")
+def connected_graphs_6():
+    """One graph per isomorphism class of connected graphs on 1..6 vertices."""
+    return connected_graphs_up_to_isomorphism(6)

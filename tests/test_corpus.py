@@ -47,13 +47,12 @@ class TestEnumeration:
 
 
 class TestIsomorphismClasses:
-    def test_connected_class_counts(self):
-        # 1, 1, 2, 6, 21 connected graphs on 1..5 vertices up to isomorphism
-        reps = connected_graphs_up_to_isomorphism(5)
+    def test_connected_class_counts(self, connected_graphs_6):
+        # 1, 1, 2, 6, 21, 112 connected graphs on 1..6 vertices up to isomorphism
         by_n = {}
-        for g in reps:
+        for g in connected_graphs_6:
             by_n[g.n] = by_n.get(g.n, 0) + 1
-        assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+        assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
     def test_representatives_pairwise_nonisomorphic(self):
         reps = [g for g in connected_graphs_up_to_isomorphism(4)]

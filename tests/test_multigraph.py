@@ -7,6 +7,7 @@ from hamconn.errors import GraphError, UnknownEdgeError, UnknownVertexError
 from hamconn.multigraph import (
     Multigraph,
     SimpleGraph,
+    canonical_labeling,
     complete_graph,
     cycle_graph,
     find_isomorphism,
@@ -176,6 +177,24 @@ class TestIsomorphism:
             assert isomorphic(a, b) == permutation_isomorphic(a, b)
             assert isomorphic(a, b) == nx_isomorphic(a, b)
 
+    def test_agrees_with_networkx_on_relabelings_and_edge_swaps(self):
+        # Half the pairs are relabelings; the other half swap the ends of two
+        # edges of a relabeling, which keeps the degree sequence, so the
+        # canonical forms decide.
+        rng = random.Random(23)
+        for i in range(400):
+            n = rng.randint(2, 8)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2, 12))]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [(perm[u], perm[v]) for u, v in edges]
+            rng.shuffle(moved)
+            if i % 2:
+                (a, b), (c, d) = moved[0], moved[1]
+                moved[0], moved[1] = (a, d), (c, b)
+            g, h = Multigraph(n, edges), Multigraph(n, moved)
+            assert isomorphic(g, h) == nx_isomorphic(g, h), (g, h)
+
     def test_equivalence_relation_on_sample(self):
         graphs = [
             complete_graph(4),
@@ -191,6 +210,43 @@ class TestIsomorphism:
         for a, b, c in itertools.permutations(graphs, 3):
             if isomorphic(a, b) and isomorphic(b, c):
                 assert isomorphic(a, c)
+
+
+class TestCanonicalLabeling:
+    @staticmethod
+    def cases():
+        from hamconn.constructions import petersen, wagner_counterexample
+        from hamconn.linegraph import line_graph
+
+        graphs = [petersen(), line_graph(complete_graph(6)).target, line_graph(petersen()).target]
+        graphs += [wagner_counterexample(p)[1] for p in (1, 2, 3)]
+        graphs += [wagner_counterexample(p)[0] for p in (1, 2)]
+        graphs.append(complete_graph(12))
+        # K3 + C5 + C6: an automorphism found inside one component must not
+        # end the search in another.
+        union, offset = [], 0
+        for k in (3, 5, 6):
+            union += [(offset + i, offset + (i + 1) % k) for i in range(k)]
+            offset += k
+        graphs.append(Multigraph(offset, union))
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 16))]
+            graphs.append(Multigraph(n, edges))
+        return [(g, 32) for g in graphs] + [(Multigraph(40), 64)]
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(31)
+        for g, guard in self.cases():
+            canon = relabel(g, canonical_labeling(g, size_guard=guard))
+            for _ in range(5):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                edges = [(perm[u], perm[v]) for u, v in g.endpoints]
+                rng.shuffle(edges)
+                h = Multigraph(g.n, edges)
+                assert relabel(h, canonical_labeling(h, size_guard=guard)) == canon, g
 
 
 class TestSizeGuard:

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from hamconn.corpus import (
-    connected_graphs_up_to_isomorphism,
     enumerate_multigraph_corpus,
     random_3_edge_connected_multigraph,
     random_multigraph,
@@ -33,11 +32,6 @@ from oracles import (
     brute_idt,
     spanning_connected_even_subgraph_exists,
 )
-
-
-@pytest.fixture(scope="module")
-def connected_graphs_6():
-    return connected_graphs_up_to_isomorphism(6)
 
 
 class TestTrailType:
