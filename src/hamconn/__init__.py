@@ -69,6 +69,7 @@ from .reduction import (
     build_hn,
     idt_from_trail,
     idt_to_ham_path,
+    missing_idt_pair,
     pick_z,
     pipeline_ham_path,
     project_edge,

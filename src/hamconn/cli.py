@@ -10,8 +10,9 @@ Commands:
                   Wagner graph
   corpus          generate seeded random corpora (sparse6, one per line)
 
-Exit codes: 0 success / zero violations, 1 violations found, 2 input error,
-3 internal failure (a failed validation or any other unexpected error).
+Exit codes: 0 success / zero violations, 1 violations found, 2 input error
+(including an option value rejected at parse time), 3 internal failure (a
+failed validation or any other unexpected error).
 """
 
 from __future__ import annotations
@@ -135,14 +136,23 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {value}")
-    return value
+def _positive_int(what: str):
+    """An argparse type: an integer of at least 1, else a parse-time error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"needs at least 1 {what}, got {value}")
+        return value
+
+    return parse
+
+
+_worker_count = _positive_int("worker")
+_pendant_count = _positive_int("pendant edge per vertex")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("counterexample", help="sharpness family from the Wagner graph")
-    p.add_argument("pendants", type=int, nargs="?", default=1)
+    p.add_argument("pendants", type=_pendant_count, nargs="?", default=1)
     p.add_argument("--emit", help="write edge lists to this file")
     p.set_defaults(func=cmd_counterexample)
 

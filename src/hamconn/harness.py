@@ -26,8 +26,9 @@ from .invariants import (
     is_k_connected,
     vertex_connectivity,
 )
-from .linegraph import preimage
+from .linegraph import line_graph, preimage
 from .multigraph import Multigraph, SimpleGraph
+from .reduction import missing_idt_pair
 from .trails import (
     find_dct,
     hamiltonian_path,
@@ -234,18 +235,24 @@ def property_table(g: Multigraph) -> list[tuple[str, object]]:
         rows.append(("vertex connectivity", vertex_connectivity(g)))
         if g.n >= 1:
             rows.append(("domination number", domination_number(g)))
-        if g.n >= 3:
-            rows.append(("hamiltonian", is_hamiltonian(g)))
-        if g.n >= 2:
-            pair = missing_hamiltonian_pair(g)
-            rows.append(("hamiltonian-connected", pair is None))
-            if pair is not None:
-                rows.append(("non-hamiltonian pair", pair))
+        h = None
         if g.is_connected():
             try:
                 h = preimage(g)
             except NotALineGraphOfMultigraphError:
-                h = None
+                pass
+        if g.n >= 3:
+            rows.append(("hamiltonian", is_hamiltonian(g)))
+        if g.n >= 2:
+            # A line graph is decided on its preimage, any other graph directly.
+            if h is not None and g.n >= 3:
+                pair = missing_idt_pair(line_graph(h))
+            else:
+                pair = missing_hamiltonian_pair(g)
+            rows.append(("hamiltonian-connected", pair is None))
+            if pair is not None:
+                rows.append(("non-hamiltonian pair", pair))
+        if g.is_connected():
             rows.append(("line graph of a multigraph", h is not None))
             if h is not None:
                 pendants = sum(
@@ -299,9 +306,14 @@ class CounterexampleReport:
 
 
 def counterexample_report(pendants_per_vertex: int = 1) -> CounterexampleReport:
-    """Build the sharpness counterexample and verify all four claims."""
+    """Build the sharpness counterexample and verify all four claims.
+
+    Hamiltonian connectivity of g = L(h) is decided on the preimage side,
+    by the IDT census of h (``missing_idt_pair``); the failing pair is a
+    vertex pair of g.
+    """
     g, h = wagner_counterexample(pendants_per_vertex)
-    pair = missing_hamiltonian_pair(g)
+    pair = missing_idt_pair(line_graph(h))
     return CounterexampleReport(
         graph=g,
         source=h,

@@ -113,23 +113,36 @@ def _max_flow(capacity: list[dict[int, int]], source: int, sink: int, cap: int) 
     return flow
 
 
-def _max_vertex_disjoint_paths(g: SimpleGraph, s: int, t: int, cap: int) -> int:
-    """Internally vertex-disjoint s-t paths via unit-capacity flow on the
-    vertex-split digraph, stopping early once ``cap`` paths are found."""
-    n = g.n
-    # Node 2v = v_in, 2v+1 = v_out.  Arcs: v_in->v_out (capacity 1, v not s,t),
-    # and u_out->w_in for each edge uw (capacity 1 each way).
-    capacity: list[dict[int, int]] = [dict() for _ in range(2 * n)]
+def _split_network(g: SimpleGraph) -> list[dict[int, int]]:
+    """The vertex-split digraph of ``g`` as residual capacities.
 
-    def add(u: int, v: int, c: int) -> None:
-        capacity[u][v] = capacity[u].get(v, 0) + c
+    Node 2v = v_in, 2v+1 = v_out.  Arcs: v_in->v_out (capacity 1) and
+    u_out->w_in for each edge uw (capacity 1 each way).
+    """
+    capacity: list[dict[int, int]] = [dict() for _ in range(2 * g.n)]
+
+    def add(u: int, v: int) -> None:
+        capacity[u][v] = capacity[u].get(v, 0) + 1
         capacity[v].setdefault(u, 0)
 
-    for v in range(n):
-        add(2 * v, 2 * v + 1, n if v in (s, t) else 1)
+    for v in range(g.n):
+        add(2 * v, 2 * v + 1)
     for u, w in g.endpoints:
-        add(2 * u + 1, 2 * w, 1)
-        add(2 * w + 1, 2 * u, 1)
+        add(2 * u + 1, 2 * w)
+        add(2 * w + 1, 2 * u)
+    return capacity
+
+
+def _max_vertex_disjoint_paths(
+    network: list[dict[int, int]], s: int, t: int, cap: int
+) -> int:
+    """Internally vertex-disjoint s-t paths via unit-capacity flow on a copy
+    of the vertex-split ``network``, stopping early once ``cap`` paths are
+    found.  The split arcs of s and t are uncapped in the copy."""
+    capacity = [row.copy() for row in network]
+    n = len(network) // 2
+    capacity[2 * s][2 * s + 1] = n
+    capacity[2 * t][2 * t + 1] = n
     return _max_flow(capacity, 2 * s, 2 * t + 1, cap)
 
 
@@ -146,17 +159,18 @@ def vertex_connectivity(g: SimpleGraph) -> int:
     masks = g.adjacency_masks()
     degs = g.degrees()
     best = min(degs)
+    network = _split_network(g)
     # A minimum separator either separates a fixed minimum-degree vertex v
     # from some non-neighbor, or contains v, in which case it separates two
     # non-adjacent neighbors of v.
     v = min(range(n), key=lambda x: degs[x])
     for t in range(n):
         if t != v and not (masks[v] >> t & 1):
-            best = min(best, _max_vertex_disjoint_paths(g, v, t, best))
+            best = min(best, _max_vertex_disjoint_paths(network, v, t, best))
     nbrs = g.neighbors(v)
     for a, b in itertools.combinations(nbrs, 2):
         if not (masks[a] >> b & 1):
-            best = min(best, _max_vertex_disjoint_paths(g, a, b, best))
+            best = min(best, _max_vertex_disjoint_paths(network, a, b, best))
     return best
 
 

@@ -23,8 +23,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 
 #: Default vertex cap for canonical labeling and the isomorphism tests built
-#: on it; its search is exponential in the worst case.
-ISOMORPHISM_SIZE_GUARD = 32
+#: on it, and so for ``preimage``.  The search is exponential in the worst
+#: case, but at 64 vertices it measured at most 70 ms on large symmetric
+#: inputs (L(K8,8), L(K11), Q6, Paley(61), C64, K64).
+ISOMORPHISM_SIZE_GUARD = 64
 
 
 def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
@@ -406,6 +408,32 @@ def _multiplicity_rows(g: Multigraph) -> list[dict[int, int]]:
     return rows
 
 
+def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """The coarsest equitable refinement of a vertex coloring.
+
+    Recolors by (color, sorted neighbor colors with multiplicity) and
+    renumbers in sorted order, so cells split in place and the colors are
+    comparable across isomorphic graphs.
+    """
+    n = len(adj)
+    count = len(set(colors))
+    while True:
+        keys = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(n)]
+        table = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [table[key] for key in keys]
+        if len(table) == count:
+            return colors
+        count = len(table)
+
+
+def _root_refinement(g: Multigraph) -> tuple[list[dict[int, int]], list[list[int]], list[int]]:
+    """Multiplicity rows, neighbor lists with one entry per edge, and the
+    refinement of the unit coloring: what every labeling search starts from."""
+    rows = _multiplicity_rows(g)
+    adj = [[w for w, k in row.items() for _ in range(k)] for row in rows]
+    return rows, adj, _refine(adj, [0] * g.n)
+
+
 def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> tuple[int, ...]:
     """A relabeling permutation depending only on the isomorphism class:
     ``relabel(a, canonical_labeling(a)) == relabel(b, canonical_labeling(b))``
@@ -420,28 +448,18 @@ def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUAR
     leaves is the canonical form.  Exponential in the worst case, fine at
     desk scale.
     """
-    n = g.n
-    if n > size_guard:
+    if g.n > size_guard:
         raise GraphError(f"canonical labeling capped at {size_guard} vertices")
-    if n == 0:
+    if g.n == 0:
         return ()
-    rows = _multiplicity_rows(g)
-    adj = [[w for w, k in row.items() for _ in range(k)] for row in rows]
+    return _labeling(g, *_root_refinement(g))
 
-    def refine(colors: list[int]) -> list[int]:
-        # Recolor by (color, sorted neighbor colors with multiplicity) and
-        # renumber in sorted order, so cells split in place and the colors
-        # are comparable across isomorphic graphs.
-        count = len(set(colors))
-        while True:
-            keys = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(n)]
-            table = {key: i for i, key in enumerate(sorted(set(keys)))}
-            colors = [table[key] for key in keys]
-            if len(table) == count:
-                return colors
-            count = len(table)
 
-    root = refine([0] * n)
+def _labeling(
+    g: Multigraph, rows: list[dict[int, int]], adj: list[list[int]], root: list[int]
+) -> tuple[int, ...]:
+    """The search behind ``canonical_labeling``, from ``_root_refinement(g)``."""
+    n = g.n
     # Twins (equal loops and equal multiplicity to every other vertex) are
     # swapped by an automorphism, so they share a root color; twin[v] is the
     # least vertex of v's twin class, and the swaps seed the orbit pruning.
@@ -502,7 +520,7 @@ def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUAR
             for w in target:
                 child[w] = 2 * color + 1
             child[v] = 2 * color
-            resume = search(refine(child), path + [v])
+            resume = search(_refine(adj, child), path + [v])
             if resume < depth:
                 return resume
             explored.add(v)
@@ -534,8 +552,13 @@ def find_isomorphism(
         return None
     if sorted(a.degrees()) != sorted(b.degrees()):
         return None
-    perm_a = canonical_labeling(a, size_guard=size_guard)
-    perm_b = canonical_labeling(b, size_guard=size_guard)
+    # The refined root colors are isomorphism-invariant: a cheap rejection
+    # before either graph is labeled.
+    start_a, start_b = _root_refinement(a), _root_refinement(b)
+    if sorted(start_a[2]) != sorted(start_b[2]):
+        return None
+    perm_a = _labeling(a, *start_a)
+    perm_b = _labeling(b, *start_b)
     if relabel(a, perm_a) != relabel(b, perm_b):
         return None
     inv_b = sorted(range(b.n), key=perm_b.__getitem__)

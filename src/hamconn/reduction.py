@@ -16,10 +16,19 @@ for 3-connected claw-free line graphs with small domination number:
 
 Every construction step is revalidated; a failed validation raises
 ``LiftFailedError`` and is treated as a bug, never silently accepted.
+
+Whether a line graph L(H) is hamiltonian-connected is decided on the
+preimage side by ``missing_idt_pair``: L(H) has a hamiltonian path between
+the vertices of edges e1 and e2 exactly when H has an internally
+dominating trail with terminal edges e1 and e2 (Harary & Nash-Williams,
+1965).  Each trail found is turned into a hamiltonian path of L(H) by
+``idt_to_ham_path`` and checked there, so every positive answer carries a
+certificate in the line graph itself.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +43,7 @@ from .errors import (
 from .invariants import DominatingSet, edge_connectivity, edges_dominate
 from .linegraph import LineGraphMap, line_graph, preimage
 from .multigraph import Multigraph, SimpleGraph
-from .trails import IdtWitness, Trail, find_closed_trail_through
+from .trails import IdtWitness, Trail, find_closed_trail_through, find_idt
 
 
 # -- edge projection -----------------------------------------------------------
@@ -408,6 +417,30 @@ def idt_to_ham_path(lgm: LineGraphMap, witness: IdtWitness) -> Trail:
     path = Trail(g, tuple(seq), tuple(step_edges))
     path.validate()
     return path
+
+
+def missing_idt_pair(lgm: LineGraphMap) -> Optional[tuple[int, int]]:
+    """The first vertex pair of ``lgm.target`` without a hamiltonian path, or
+    ``None``, decided by searching the source multigraph H.
+
+    The edge pairs ``e1 < e2`` of H are walked in lexicographic order; the
+    first pair without an internally dominating trail is the answer.  Every
+    trail found becomes a hamiltonian path of the line graph, validated
+    there.  Vertex i of the line graph is edge i of H, so the pair is the
+    one ``missing_hamiltonian_pair(lgm.target)`` returns.  Like
+    ``idt_to_ham_path``, it needs at least 3 edges.
+    """
+    h = lgm.source
+    if h.edge_count < 3:
+        raise GraphError("the IDT census needs at least 3 edges")
+    # A negative answer rests on the equivalence, so the map must be exact.
+    lgm.validate()
+    for e1, e2 in itertools.combinations(range(h.edge_count), 2):
+        witness = find_idt(h, e1, e2)
+        if witness is None:
+            return (e1, e2)
+        _check_ham_path(lgm.target, idt_to_ham_path(lgm, witness), e1, e2)
+    return None
 
 
 # -- the full pipeline --------------------------------------------------------------------

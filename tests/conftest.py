@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hamconn.corpus import connected_graphs_up_to_isomorphism
+from hamconn.corpus import connected_graphs_up_to_isomorphism, enumerate_multigraph_corpus
 from hamconn.multigraph import (
     Multigraph,
     complete_graph,
@@ -59,3 +59,12 @@ def triangle_with_pendant():
 def connected_graphs_6():
     """One graph per isomorphism class of connected graphs on 1..6 vertices."""
     return connected_graphs_up_to_isomorphism(6)
+
+
+@pytest.fixture(scope="session")
+def equivalence_corpus():
+    """Connected loopless multigraphs on at most 6 vertices with 3..9 edges and
+    edge multiplicity at most 3, exhaustive up to isomorphism (4,119 graphs)."""
+    return list(
+        enumerate_multigraph_corpus(max_vertices=6, min_edges=3, max_edges=9, max_multiplicity=3)
+    )

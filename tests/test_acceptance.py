@@ -17,7 +17,6 @@ from hamconn.constructions import (
 from hamconn.core import core, lift_closed_trail
 from hamconn.corpus import (
     enumerate_labeled,
-    enumerate_multigraph_corpus,
     random_3_edge_connected_multigraph,
     random_connected_multigraph_with_loops,
     random_essentially_3ec_multigraph,
@@ -101,15 +100,9 @@ def test_criterion_03_ageev_at_desk_scale():
     _report(3, f"0 violations over {counts['total']} labeled graphs (ageev)", started)
 
 
-def _equivalence_corpus():
-    return list(
-        enumerate_multigraph_corpus(max_vertices=6, min_edges=3, max_edges=9, max_multiplicity=3)
-    )
-
-
-def test_criterion_04_dct_equivalence():
+def test_criterion_04_dct_equivalence(equivalence_corpus):
     started = time.time()
-    corpus = _equivalence_corpus()
+    corpus = equivalence_corpus
     for h in corpus:
         g = line_graph(h).target
         assert is_hamiltonian(g) == (find_dct(h) is not None), h.endpoints
@@ -117,9 +110,9 @@ def test_criterion_04_dct_equivalence():
     _report(4, f"hamiltonian(L) <=> DCT over {len(corpus)} multigraphs, 0 exceptions", started)
 
 
-def test_criterion_05_idt_equivalence():
+def test_criterion_05_idt_equivalence(equivalence_corpus):
     started = time.time()
-    corpus = _equivalence_corpus()
+    corpus = equivalence_corpus
     pairs = 0
     for h in corpus:
         g = line_graph(h).target

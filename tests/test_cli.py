@@ -40,6 +40,15 @@ class TestWorkerCount:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestPendantCount:
+    @pytest.mark.parametrize("count", ["0", "-1", "x"])
+    def test_rejected_at_parse_time(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", count])
+        assert exc.value.code == 2
+        assert "pendants" in capsys.readouterr().err
+
+
 class TestUnexpectedErrors:
     def test_recursion_error_exits_internal(self, monkeypatch, capsys):
         def deep(args):
@@ -59,6 +68,21 @@ class TestPropsCommand:
 
     def test_missing_input(self, capsys):
         assert main(["props"]) == 2
+
+    def test_line_graph_above_32_vertices(self, tmp_path, capsys):
+        from hamconn.constructions import wagner_counterexample
+        from hamconn.encoding import encode_edgelist
+
+        g, _ = wagner_counterexample(3)
+        path = tmp_path / "lh3.el"
+        path.write_text(encode_edgelist(g))
+        assert main(["props", "--input", str(path), "--format", "el"]) == 0
+        # Each row is the name padded to 28 columns, a space, the value.
+        out = capsys.readouterr().out
+        rows = {line[:28].rstrip(): line[29:] for line in out.splitlines() if line}
+        assert rows["vertices"] == "36"
+        assert rows["hamiltonian-connected"] == "False"
+        assert rows["non-hamiltonian pair"] == "(8, 10)"
 
 
 class TestPipelineCommand:

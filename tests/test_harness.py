@@ -120,6 +120,13 @@ class TestCounterexampleReport:
 
         assert verify_hamiltonian_pair_absent(report.graph, report.failing_pair)
 
+    @pytest.mark.parametrize("pendants", range(1, 7))
+    def test_sharp_for_every_pendant_count(self, pendants):
+        report = counterexample_report(pendants)
+        assert report.graph.n == 12 + 8 * pendants
+        assert report.failing_pair == (8, 10)
+        assert report.demonstrates_sharpness
+
     def test_report_format_mentions_the_pair(self):
         report = counterexample_report(1)
         text = report.format()

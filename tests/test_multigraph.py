@@ -5,6 +5,7 @@ import pytest
 
 from hamconn.errors import GraphError, UnknownEdgeError, UnknownVertexError
 from hamconn.multigraph import (
+    ISOMORPHISM_SIZE_GUARD,
     Multigraph,
     SimpleGraph,
     canonical_labeling,
@@ -251,10 +252,10 @@ class TestCanonicalLabeling:
 
 class TestSizeGuard:
     def test_isomorphism_guard(self):
-        big = Multigraph(40, [])
+        big = Multigraph(ISOMORPHISM_SIZE_GUARD + 1, [])
         with pytest.raises(GraphError):
             find_isomorphism(big, big)
-        assert find_isomorphism(big, big, size_guard=64) is not None
+        assert find_isomorphism(big, big, size_guard=ISOMORPHISM_SIZE_GUARD + 1) is not None
 
 
 class TestConnectivityQueries:

@@ -3,20 +3,29 @@ import random
 
 import pytest
 
+from hamconn import reduction
+from hamconn.constructions import wagner_counterexample
 from hamconn.core import core
-from hamconn.errors import GraphError, NotALineGraphOfMultigraphError
+from hamconn.errors import GraphError, LiftFailedError, NotALineGraphOfMultigraphError
 from hamconn.invariants import DominatingSet, dominating_set, edge_connectivity
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, complete_graph
 from hamconn.reduction import (
     build_hn,
     idt_to_ham_path,
+    missing_idt_pair,
     pick_z,
     pipeline_ham_path,
     project_edge,
     run_pipeline,
 )
-from hamconn.trails import IdtWitness, Trail, find_idt, hamiltonian_path
+from hamconn.trails import (
+    IdtWitness,
+    Trail,
+    find_idt,
+    hamiltonian_path,
+    missing_hamiltonian_pair,
+)
 
 
 @pytest.fixture
@@ -148,6 +157,44 @@ class TestIdtToHamPath:
         t = Trail(h, (0, 1, 2), (0, 1))
         with pytest.raises(GraphError):
             idt_to_ham_path(lgm, IdtWitness(t, 0, 1))
+
+
+class TestMissingIdtPair:
+    def test_agrees_with_the_line_graph_search(self, equivalence_corpus):
+        for h in equivalence_corpus:
+            lgm = line_graph(h)
+            assert missing_idt_pair(lgm) == missing_hamiltonian_pair(lgm.target), h.endpoints
+
+    def test_every_pair_before_the_answer_is_certified(self, monkeypatch):
+        _, h = wagner_counterexample(1)
+        lgm = line_graph(h)
+        paths = []
+
+        def recording(lgm_, witness):
+            path = idt_to_ham_path(lgm_, witness)
+            paths.append(path)
+            return path
+
+        monkeypatch.setattr(reduction, "idt_to_ham_path", recording)
+        pair = missing_idt_pair(lgm)
+        assert pair == (8, 10)
+        before = [p for p in itertools.combinations(range(h.edge_count), 2) if p < pair]
+        assert [(p.vertices[0], p.vertices[-1]) for p in paths] == before
+        for path in paths:
+            assert path.host == lgm.target
+            assert sorted(path.vertices) == list(range(lgm.target.n))
+            path.validate()
+
+    def test_witness_from_another_host_is_refused(self, monkeypatch):
+        _, h = wagner_counterexample(1)
+        other = Multigraph(h.n + 1, list(h.endpoints) + [(0, h.n)])
+        monkeypatch.setattr(reduction, "find_idt", lambda _, e1, e2: find_idt(other, e1, e2))
+        with pytest.raises(LiftFailedError):
+            missing_idt_pair(line_graph(h))
+
+    def test_too_few_edges_rejected(self):
+        with pytest.raises(GraphError):
+            missing_idt_pair(line_graph(Multigraph(3, [(0, 1), (1, 2)])))
 
 
 class TestPipeline:
