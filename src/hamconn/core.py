@@ -5,6 +5,16 @@ lifted to the original graph: every core edge expands to an edge-disjoint
 path of original edges, every original non-pendant edge lies in exactly one
 expansion, and each suppressed vertex remembers the core edge whose
 expansion swallowed it.
+
+After pendant stripping, the core vertices are the vertices of 2-core degree
+3 or more.  From each of them, every unused incident edge starts a walk
+that passes through degree-2 vertices until it reaches a core vertex; the
+walk is one core edge, and the edges and vertices it collects are its
+expansion.  Core edges are numbered by their smallest original edge, and a
+walk between two core vertices is stored from the lower one.  A walk that
+returns to its start is a loop of the core; it starts with the smaller of
+its two end edges, because a vertex lists its edges by id.  So the whole
+map is independent of the order the vertices are processed in.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ class CoreMap:
     ``edge_expansion[ce]`` lists original edge ids along the path the core
     edge ``ce`` contracts; ``expansion_paths[ce]`` gives the matching
     original vertex path, oriented so its first vertex maps to the lower
-    core endpoint.
+    core endpoint (for a loop, so its first edge is the smaller end edge).
+    ``edge_owner[e]`` is the core edge whose expansion contains ``e``.
     """
 
     original: Multigraph
@@ -50,18 +61,19 @@ class CoreMap:
     edge_expansion: dict[int, tuple[int, ...]]
     expansion_paths: dict[int, tuple[int, ...]]
     suppressed_location: dict[int, int]
+    edge_owner: dict[int, int]
 
     def validate(self) -> None:
         h, c = self.original, self.core
-        seen: set[int] = set()
+        owned = 0
         for ce in range(c.edge_count):
             epath = self.edge_expansion[ce]
             vpath = self.expansion_paths[ce]
             if len(vpath) != len(epath) + 1 or not epath:
                 raise LiftFailedError("expansion shape mismatch")
-            if seen & set(epath):
-                raise LiftFailedError("expansions are not edge-disjoint")
-            seen.update(epath)
+            owned += len(epath)
+            if any(self.edge_owner.get(e) != ce for e in epath):
+                raise LiftFailedError("edge_owner disagrees with the expansions")
             for i, e in enumerate(epath):
                 pair = h.endpoints[e]
                 step = (vpath[i], vpath[i + 1])
@@ -73,6 +85,11 @@ class CoreMap:
                 (b, a),
             ):
                 raise LiftFailedError("expansion endpoints disagree with the core edge")
+        # Every expansion edge is owned by its core edge, so equal counts
+        # mean the expansions are edge-disjoint and own nothing else.
+        if len(self.edge_owner) != owned:
+            raise LiftFailedError("expansions are not edge-disjoint")
+        seen = set(self.edge_owner)
         if seen | self.removed_pendants != set(range(h.edge_count)) or (
             seen & self.removed_pendants
         ):
@@ -119,60 +136,11 @@ def core(
             degrees[v] -= 1
             degrees[w] -= 1
             changed = True
-    alive_vertices = {v for v in range(h.n) if degrees[v] > 0}
 
-    # Phase 2: suppress degree-2 vertices by merging their two thread edges.
-    # Threads carry the original edge path and vertex path as they merge.
-    threads: dict[int, dict] = {}
-    for e in alive_edges:
-        u, v = h.endpoints[e]
-        threads[e] = {"u": u, "v": v, "epath": [e], "vpath": [u, v], "absorbed": []}
-    incident: dict[int, set[int]] = {v: set() for v in alive_vertices}
-    for t, data in threads.items():
-        incident[data["u"]].add(t)
-        if data["v"] != data["u"]:
-            incident[data["v"]].add(t)
-
-    def thread_degree(v: int) -> int:
-        return sum(2 if threads[t]["u"] == threads[t]["v"] else 1 for t in incident[v])
-
-    next_tid = h.edge_count
-    progress = True
-    while progress:
-        progress = False
-        for v in ordered(list(alive_vertices)):
-            if v not in incident or thread_degree(v) != 2:
-                continue
-            ts = list(incident[v])
-            if len(ts) != 2:
-                continue  # a loop thread at v: nothing to suppress
-            t1, t2 = ts
-            d1, d2 = threads.pop(t1), threads.pop(t2)
-            if d1["u"] == v:
-                d1 = _flip(d1)
-            if d2["v"] == v:
-                d2 = _flip(d2)
-            merged = {
-                "u": d1["u"],
-                "v": d2["v"],
-                "epath": d1["epath"] + d2["epath"],
-                "vpath": d1["vpath"] + d2["vpath"][1:],
-                "absorbed": d1["absorbed"] + [v] + d2["absorbed"],
-            }
-            tid = next_tid
-            next_tid += 1
-            threads[tid] = merged
-            for x in (d1["u"], d2["v"]):
-                incident[x].discard(t1)
-                incident[x].discard(t2)
-            incident[merged["u"]].add(tid)
-            if merged["v"] != merged["u"]:
-                incident[merged["v"]].add(tid)
-            alive_vertices.discard(v)
-            del incident[v]
-            progress = True
-
-    core_vertices = sorted(alive_vertices)
+    # Phase 2: the core vertices are those of 2-core degree 3 or more (no
+    # degree 1 is left).  Each thread of degree-2 vertices between two of
+    # them becomes one core edge.
+    core_vertices = [v for v in range(h.n) if degrees[v] > 2]
     if len(core_vertices) <= 1:
         raise DegenerateCoreError(
             f"core collapsed to {len(core_vertices)} vertices; "
@@ -184,26 +152,40 @@ def core(
             raise NotEssentially3EdgeConnectedError(
                 f"essential edge-cut of size {len(cut)} found", cut=cut
             )
-
     vertex_image = {v: i for i, v in enumerate(core_vertices)}
+    threads = []
+    for s in ordered(core_vertices):
+        for e, w in inc[s]:
+            if e not in alive_edges:
+                continue
+            alive_edges.discard(e)
+            epath, vpath = [e], [s, w]
+            while w not in vertex_image:
+                e, w = next((f, x) for f, x in inc[w] if f in alive_edges)
+                alive_edges.discard(e)
+                epath.append(e)
+                vpath.append(w)
+            threads.append((epath, vpath))
+
     core_edges = []
     edge_expansion: dict[int, tuple[int, ...]] = {}
     expansion_paths: dict[int, tuple[int, ...]] = {}
     suppressed_location: dict[int, int] = {}
-    # Deterministic core edge order regardless of processing order: sort
-    # threads by their original edge path (each original edge appears once).
-    for data in sorted(threads.values(), key=lambda d: min(d["epath"])):
-        u, v = data["u"], data["v"]
-        epath, vpath = data["epath"], data["vpath"]
-        if vertex_image[u] > vertex_image[v]:
-            epath, vpath = epath[::-1], vpath[::-1]
-            u, v = v, u
-        ce = len(core_edges)
-        core_edges.append((vertex_image[u], vertex_image[v]))
+    edge_owner: dict[int, int] = {}
+    # Core edges are numbered by their smallest original edge, and a thread
+    # runs from its lower core vertex.  A loop thread already starts with its
+    # smaller end edge: both ends are in inc[s], which lists edges by id.
+    for ce, (epath, vpath) in enumerate(sorted(threads, key=lambda t: min(t[0]))):
+        if vpath[0] > vpath[-1]:
+            epath.reverse()
+            vpath.reverse()
+        core_edges.append((vertex_image[vpath[0]], vertex_image[vpath[-1]]))
         edge_expansion[ce] = tuple(epath)
         expansion_paths[ce] = tuple(vpath)
-        for x in data["absorbed"]:
+        for x in vpath[1:-1]:
             suppressed_location[x] = ce
+        for e in epath:
+            edge_owner[e] = ce
     core_graph = Multigraph(len(core_vertices), core_edges)
     cm = CoreMap(
         original=h,
@@ -214,6 +196,7 @@ def core(
         edge_expansion=edge_expansion,
         expansion_paths=expansion_paths,
         suppressed_location=suppressed_location,
+        edge_owner=edge_owner,
     )
     cm.validate()
     if check and edge_connectivity(core_graph) < 3:
@@ -221,16 +204,6 @@ def core(
             "core of an essentially 3-edge-connected multigraph must be 3-edge-connected"
         )
     return cm
-
-
-def _flip(data: dict) -> dict:
-    return {
-        "u": data["v"],
-        "v": data["u"],
-        "epath": data["epath"][::-1],
-        "vpath": data["vpath"][::-1],
-        "absorbed": data["absorbed"][::-1],
-    }
 
 
 def project_vertex(cm: CoreMap, v: int) -> CoreLocation:

@@ -100,10 +100,6 @@ def _krausz_cover(g: SimpleGraph) -> list[frozenset[int]] | None:
     count = [0] * n
     cliques: list[frozenset[int]] = []
 
-    edge_index = {}
-    for e, (u, v) in enumerate(g.endpoints):
-        edge_index[(u, v)] = e
-        edge_index[(v, u)] = e
     covered = [False] * g.edge_count
 
     def place(clique: frozenset[int]) -> list[int] | None:
@@ -113,7 +109,7 @@ def _krausz_cover(g: SimpleGraph) -> list[frozenset[int]] | None:
             count[v] += 1
         for i, u in enumerate(members):
             for w in members[i + 1 :]:
-                e = edge_index[(u, w)]
+                e = g.edge_id(u, w)
                 if not covered[e]:
                     covered[e] = True
                     newly.append(e)
@@ -214,16 +210,19 @@ def preimage(g: SimpleGraph) -> Multigraph:
     if g.n == 1:
         # A single vertex is the line graph of a single (pendant) edge.
         return Multigraph(2, [(0, 1)])
+    # Line graphs of multigraphs are claw-free, so a claw settles the answer
+    # before labeling, also above the labeling's size cap.
+    no_cover = "no clique cover with vertex multiplicity at most 2 exists"
+    claw = find_claw(g)
+    if claw is not None:
+        raise NotALineGraphOfMultigraphError(no_cover, witness=claw)
     perm = canonical_labeling(g)
     canon = relabel(g, perm)
     if not isinstance(canon, SimpleGraph):
         raise LiftFailedError("relabeling a simple graph did not give a simple graph")
     cover = _krausz_cover(canon)
     if cover is None:
-        raise NotALineGraphOfMultigraphError(
-            "no clique cover with vertex multiplicity at most 2 exists",
-            witness=find_claw(g),
-        )
+        raise NotALineGraphOfMultigraphError(no_cover)
     h_canon = _cover_to_multigraph(canon, cover)
     # Edge i of the result must correspond to vertex i of the ORIGINAL g.
     h = Multigraph(h_canon.n, [h_canon.endpoints[perm[v]] for v in range(g.n)])

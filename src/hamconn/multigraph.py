@@ -265,12 +265,6 @@ class Multigraph:
             raise GraphError(f"contraction produced an inconsistent map: {reason}")
         return cmap
 
-    def with_edge_added(self, u: int, v: int) -> tuple["Multigraph", int]:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        graph = Multigraph(self.n, self.endpoints + ((u, v) if u <= v else (v, u),))
-        return graph, graph.edge_count - 1
-
     # -- equality / hashing (labeled, structural) ---------------------------
 
     def sorted_edge_multiset(self) -> tuple[tuple[int, int], ...]:
@@ -291,17 +285,18 @@ class Multigraph:
 class SimpleGraph(Multigraph):
     """Loop-free multigraph without parallel edges."""
 
-    __slots__ = ()
+    __slots__ = ("_edge_ids",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
-        seen = set()
-        for u, v in self.endpoints:
+        ids: dict[tuple[int, int], int] = {}
+        for e, (u, v) in enumerate(self.endpoints):
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed in a simple graph")
-            if (u, v) in seen:
+            if (u, v) in ids:
                 raise GraphError(f"parallel edge ({u}, {v}) not allowed in a simple graph")
-            seen.add((u, v))
+            ids[(u, v)] = e
+        self._edge_ids = ids
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
@@ -309,10 +304,9 @@ class SimpleGraph(Multigraph):
         return bool(self.adjacency_masks()[u] >> v & 1)
 
     def edge_id(self, u: int, v: int) -> int:
-        pair = (u, v) if u <= v else (v, u)
         try:
-            return self.endpoints.index(pair)
-        except ValueError:
+            return self._edge_ids[(u, v) if u <= v else (v, u)]
+        except KeyError:
             raise UnknownEdgeError(f"no edge joins {u} and {v}") from None
 
     def is_complete(self) -> bool:

@@ -8,6 +8,11 @@ for 3-connected claw-free line graphs with small domination number:
    edges;
 3. build ``h_n`` (the core, or the core with both projected edges
    subdivided and the subdivision vertices joined by a new edge);
+   with m core edges and n core vertices, edges ``0..m-1`` keep their
+   core ids (a subdivided edge's id goes to its half at the smaller end),
+   ``m`` and ``m + 1`` are the other halves of the first and second
+   projected edges, and ``e_n = m + 2`` joins the new vertices ``n`` and
+   ``n + 1``;
 4. project the dominating triple the same way and collect the at most six
    endpoints ``z`` of the projected edges;
 5. find a closed trail of ``h_n`` through the new edge visiting ``z``;
@@ -49,14 +54,6 @@ from .trails import IdtWitness, Trail, find_closed_trail_through, find_idt
 # -- edge projection -----------------------------------------------------------
 
 
-def _edge_owner_index(cm: CoreMap) -> dict[int, int]:
-    owner = {}
-    for ce, path in cm.edge_expansion.items():
-        for e in path:
-            owner[e] = ce
-    return owner
-
-
 def _pendant_ends(cm: CoreMap, e: int) -> tuple[int, int]:
     """(leaf, support) of a removed pendant edge, by original degree."""
     u, v = cm.original.endpoints[e]
@@ -77,9 +74,8 @@ def project_edge(cm: CoreMap, e: int) -> int:
     (or to the owning expansion when the support itself was suppressed).
     """
     cm.original.check_edge(e)
-    owner = _edge_owner_index(cm)
-    if e in owner:
-        return owner[e]
+    if e in cm.edge_owner:
+        return cm.edge_owner[e]
     if e not in cm.removed_pendants:
         raise LiftFailedError(f"edge {e} is neither expanded nor pendant")
     _, support = _pendant_ends(cm, e)
@@ -96,18 +92,10 @@ def project_edge(cm: CoreMap, e: int) -> int:
 
 
 @dataclass(frozen=True)
-class SubdivisionRecord:
-    """Bookkeeping for one subdivided core edge inside ``h_n``."""
-
-    core_edge: int
-    new_vertex: int
-    half_edges: tuple[tuple[int, int], ...]  # (h_n edge id, outer core vertex)
-
-
-@dataclass(frozen=True)
 class HnConstruction:
     """The trail-search host ``h_n`` plus maps back to the core.
 
+    ``subdivided`` maps each subdivided core edge to its new vertex.
     ``edge_origin[e]`` tags every ``h_n`` edge as ``("core", ce)`` for an
     unsubdivided core edge, ``("half", ce, outer_vertex)`` for one half of a
     subdivided edge, or ``("new",)`` for the joining edge.
@@ -115,7 +103,7 @@ class HnConstruction:
 
     graph: Multigraph
     e_n: int
-    subdivided: dict[int, SubdivisionRecord]
+    subdivided: dict[int, int]
     edge_origin: dict[int, tuple]
 
 
@@ -132,33 +120,20 @@ def build_hn(cm: CoreMap, e0_1: int, e0_2: int) -> HnConstruction:
         origin = {e: ("core", e) for e in range(c.edge_count)}
         hn = HnConstruction(c, e0_1, {}, origin)
     else:
-        a1, b1 = c.endpoints[e0_1]
-        res1 = c.subdivide(e0_1)
-        e0_2_shifted = res1.edge_map[e0_2]
-        a2, b2 = res1.graph.endpoints[e0_2_shifted]
-        half1 = {res1.first_edge: a1, res1.second_edge: b1}
-        res2 = res1.graph.subdivide(e0_2_shifted)
-        half2 = {res2.first_edge: a2, res2.second_edge: b2}
-        graph, e_n = res2.graph.with_edge_added(res1.new_vertex, res2.new_vertex)
-        origin: dict[int, tuple] = {e_n: ("new",)}
-        for ce in range(c.edge_count):
-            if ce in (e0_1, e0_2):
-                continue
-            origin[res2.edge_map[res1.edge_map[ce]]] = ("core", ce)
-        rec1_halves = []
-        for he, outer in half1.items():
-            shifted = res2.edge_map[he]
-            origin[shifted] = ("half", e0_1, outer)
-            rec1_halves.append((shifted, outer))
-        rec2_halves = []
-        for he, outer in half2.items():
-            origin[he] = ("half", e0_2, outer)
-            rec2_halves.append((he, outer))
-        subdivided = {
-            e0_1: SubdivisionRecord(e0_1, res1.new_vertex, tuple(sorted(rec1_halves))),
-            e0_2: SubdivisionRecord(e0_2, res2.new_vertex, tuple(sorted(rec2_halves))),
+        n, m = c.n, c.edge_count
+        (a1, b1), (a2, b2) = c.endpoints[e0_1], c.endpoints[e0_2]
+        edges = list(c.endpoints)
+        edges[e0_1], edges[e0_2] = (a1, n), (a2, n + 1)
+        graph = Multigraph(n + 2, edges + [(b1, n), (b2, n + 1), (n, n + 1)])
+        e_n = m + 2
+        # A half joins its outer core vertex, the smaller end, to a new vertex.
+        half_of = {e0_1: e0_1, m: e0_1, e0_2: e0_2, m + 1: e0_2}
+        origin = {
+            e: ("half", half_of[e], u) if e in half_of else ("core", e)
+            for e, (u, _) in enumerate(graph.endpoints[:e_n])
         }
-        hn = HnConstruction(graph, e_n, subdivided, origin)
+        origin[e_n] = ("new",)
+        hn = HnConstruction(graph, e_n, {e0_1: n, e0_2: n + 1}, origin)
     if edge_connectivity(hn.graph) < 3:
         raise LiftFailedError("h_n must be 3-edge-connected when built from a valid core")
     return hn
@@ -227,22 +202,16 @@ class _Attachment:
 
 
 def _attachment(cm: CoreMap, e: int) -> _Attachment:
-    owner = _edge_owner_index(cm)
-    if e in owner:
-        ce = owner[e]
-        j = cm.edge_expansion[ce].index(e) + 1
-        return _Attachment(ce, "on", j)
+    ce = project_edge(cm, e)
+    if e in cm.edge_owner:
+        return _Attachment(ce, "on", cm.edge_expansion[ce].index(e) + 1)
+    # A suppressed support lies inside the expansion, a core-vertex support
+    # is one of its ends.
     leaf, support = _pendant_ends(cm, e)
-    loc = project_vertex(cm, support)
-    if loc.kind == "edge":
-        ce = loc.index
+    try:
         p = cm.expansion_paths[ce].index(support)
-    else:
-        ce = project_edge(cm, e)
-        vpath = cm.expansion_paths[ce]
-        p = 0 if cm.vertex_image[vpath[0]] == loc.index else len(vpath) - 1
-        if cm.vertex_image[vpath[p]] != loc.index:
-            raise LiftFailedError("support vertex is not an endpoint of its projected edge")
+    except ValueError:
+        raise LiftFailedError("support vertex is not on its projected edge's expansion") from None
     return _Attachment(ce, "pendant", p, pendant_edge=e, leaf=leaf)
 
 
@@ -298,76 +267,46 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
     if (att1.core_edge, att2.core_edge) != (ctx.e0_1, ctx.e0_2):
         raise LiftFailedError("attachments disagree with the projected edges")
 
-    candidates = []
+    # Each option is a lifted core walk mv with the attachments whose pieces
+    # must end at mv[0] and at mv[-1].
     if not ctx.hn.subdivided:
         # e_n is the shared projected core edge itself.  The lifted cycle may
         # be traversed in either direction, so try both.
-        core_walk_v, core_walk_e = rest_verts, rest_edges
-        mv, me = lift_walk(cm, core_walk_v, core_walk_e)
-        hx1 = cm.core_vertex_origin[x1]
-        hx0 = cm.core_vertex_origin[x0]
-        for m_verts, m_edges, enter, leave in (
-            (mv, me, hx1, hx0),
-            (mv[::-1], me[::-1], hx0, hx1),
-        ):
-            for t1 in (True, False):
-                p1v, p1e = _piece(cm, att1, t1)
-                if p1v[-1] != enter:
-                    continue
-                for t2 in (True, False):
-                    p2v, p2e = _piece(cm, att2, t2)
-                    if p2v[-1] != leave:
-                        continue
-                    if set(p1e) & set(p2e):
-                        continue
-                    verts = p1v + m_verts[1:] + tuple(reversed(p2v))[1:]
-                    edges = p1e + m_edges + tuple(reversed(p2e))
-                    candidates.append((verts, edges))
+        mv, me = lift_walk(cm, rest_verts, rest_edges)
+        options = [(mv, me, att1, att2), (mv[::-1], me[::-1], att1, att2)]
     else:
-        sub_of = {rec.new_vertex: ce for ce, rec in ctx.hn.subdivided.items()}
+        sub_of = {v: ce for ce, v in ctx.hn.subdivided.items()}
         if x0 not in sub_of or x1 not in sub_of or x0 == x1:
             raise LiftFailedError("e_n does not join the two subdivision vertices")
-        first_tag = ctx.hn.edge_origin[rest_edges[0]]
-        last_tag = ctx.hn.edge_origin[rest_edges[-1]]
-        if first_tag[0] != "half" or last_tag[0] != "half":
+        tags = [ctx.hn.edge_origin[e][0] for e in rest_edges]
+        if tags[0] != "half" or tags[-1] != "half":
             raise LiftFailedError("trail does not leave the subdivision vertices by halves")
-        c_first, c_last = first_tag[2], last_tag[2]
-        inner = rest_edges[1:-1]
-        core_walk_e = []
-        for e in inner:
-            tag = ctx.hn.edge_origin[e]
-            if tag[0] != "core":
-                raise LiftFailedError("trail revisits a subdivided edge")
-            core_walk_e.append(tag[1])
-        core_walk_v = rest_verts[1:-1]
-        mv, me = lift_walk(cm, tuple(core_walk_v), tuple(core_walk_e))
-        att_first, att_last = (att1, att2) if sub_of[x1] == ctx.e0_1 else (att2, att1)
-        hc_first = cm.core_vertex_origin[c_first]
-        hc_last = cm.core_vertex_origin[c_last]
+        if any(tag != "core" for tag in tags[1:-1]):
+            raise LiftFailedError("trail revisits a subdivided edge")
+        # Unsubdivided core edges keep their ids in h_n.
+        mv, me = lift_walk(cm, rest_verts[1:-1], rest_edges[1:-1])
+        first, last = (att1, att2) if sub_of[x1] == ctx.e0_1 else (att2, att1)
+        options = [(mv, me, first, last)]
+
+    for mv, me, first, last in options:
         for tf in (True, False):
-            pfv, pfe = _piece(cm, att_first, tf)
-            if pfv[-1] != hc_first:
+            pfv, pfe = _piece(cm, first, tf)
+            if pfv[-1] != mv[0]:
                 continue
             for tl in (True, False):
-                plv, ple = _piece(cm, att_last, tl)
-                if plv[-1] != hc_last:
+                plv, ple = _piece(cm, last, tl)
+                if plv[-1] != mv[-1] or set(pfe) & set(ple):
                     continue
-                if set(pfe) & set(ple):
-                    continue
-                verts = pfv + mv[1:] + tuple(reversed(plv))[1:]
-                edges = pfe + me + tuple(reversed(ple))
-                if att_first is att2:
+                verts = pfv + mv[1:] + plv[::-1][1:]
+                edges = pfe + me + ple[::-1]
+                if first is att2:
                     verts, edges = verts[::-1], edges[::-1]
-                candidates.append((verts, edges))
-
-    for verts, edges in candidates:
-        candidate = Trail(ctx.h, verts, edges)
-        witness = IdtWitness(candidate, ctx.e1, ctx.e2)
-        try:
-            witness.validate()
-        except GraphError:
-            continue
-        return witness
+                witness = IdtWitness(Trail(ctx.h, verts, edges), ctx.e1, ctx.e2)
+                try:
+                    witness.validate()
+                except GraphError:
+                    continue
+                return witness
     raise LiftFailedError("no orientation of the lifted trail yields a valid terminal trail")
 
 
@@ -404,16 +343,11 @@ def idt_to_ham_path(lgm: LineGraphMap, witness: IdtWitness) -> Trail:
         seq.append(trail.edges[j])
     if len(seq) != g.n or len(set(seq)) != g.n:
         raise LiftFailedError("edge ordering does not enumerate every line-graph vertex once")
-    pair_to_edge = {}
-    for e, (u, v) in enumerate(g.endpoints):
-        pair_to_edge[(u, v)] = e
-        pair_to_edge[(v, u)] = e
     step_edges = []
-    for i in range(len(seq) - 1):
-        key = (seq[i], seq[i + 1])
-        if key not in pair_to_edge:
+    for a, b in zip(seq, seq[1:]):
+        if not g.has_edge(a, b):
             raise LiftFailedError("consecutive ordered edges are not adjacent in the line graph")
-        step_edges.append(pair_to_edge[key])
+        step_edges.append(g.edge_id(a, b))
     path = Trail(g, tuple(seq), tuple(step_edges))
     path.validate()
     return path

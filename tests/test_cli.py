@@ -84,6 +84,19 @@ class TestPropsCommand:
         assert rows["hamiltonian-connected"] == "False"
         assert rows["non-hamiltonian pair"] == "(8, 10)"
 
+    def test_claw_above_labeling_cap(self, tmp_path, capsys):
+        # 70 vertices, above the labeling cap; the claw alone rules out a
+        # preimage, so every row is still printed.
+        from hamconn.encoding import encode_edgelist
+
+        path = tmp_path / "star.el"
+        path.write_text(encode_edgelist(star_graph(69)))
+        assert main(["props", "--input", str(path), "--format", "el"]) == 0
+        out = capsys.readouterr().out
+        rows = {line[:28].rstrip(): line[29:] for line in out.splitlines() if line}
+        assert rows["vertices"] == "70"
+        assert rows["line graph of a multigraph"] == "False"
+
 
 class TestPipelineCommand:
     def test_octahedron_pair(self, octahedron_file, capsys):

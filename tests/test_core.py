@@ -68,13 +68,46 @@ class TestCore:
         assert sorted(cm.edge_expansion[loops[0]]) == [6, 7]
 
     def test_order_independence(self, k4_with_pendants, subdivided_k4):
-        for h in (k4_with_pendants, subdivided_k4):
-            base = core(h)
+        # the triangle 0-1-2 hangs off vertex 0: a loop core edge
+        loop_core = Multigraph(4, [(0, 1), (0, 2), (0, 3), (0, 3), (0, 3), (1, 2)])
+        for h in (k4_with_pendants, subdivided_k4, loop_core):
+            base = core(h, check=False)
             for seed in range(10):
-                shuffled = core(h, rng=random.Random(seed))
+                shuffled = core(h, rng=random.Random(seed), check=False)
                 assert shuffled.core == base.core
                 assert shuffled.removed_pendants == base.removed_pendants
                 assert shuffled.edge_expansion == base.edge_expansion
+                assert shuffled.expansion_paths == base.expansion_paths
+
+    def test_walk_properties_on_corpus(self, equivalence_corpus):
+        # the walk's invariants, and order independence of every field
+        rng = random.Random(31)
+        graphs = list(equivalence_corpus)
+        for h in equivalence_corpus:
+            # hang a pendant edge or a pendant path of two edges off a vertex
+            v, n = rng.randrange(h.n), h.n
+            tail = [(v, n)] if rng.random() < 0.5 else [(v, n), (n, n + 1)]
+            graphs.append(Multigraph(n + len(tail), list(h.endpoints) + tail))
+        for h in graphs:
+            try:
+                cm = core(h, check=False)
+            except DegenerateCoreError:
+                continue
+            two_core = [0] * h.n
+            for e in set(range(h.edge_count)) - cm.removed_pendants:
+                u, v = h.endpoints[e]
+                two_core[u] += 1
+                two_core[v] += 1
+            assert cm.core_vertex_origin == tuple(v for v in range(h.n) if two_core[v] not in (0, 2))
+            assert all(two_core[x] == 2 for x in cm.suppressed_location)
+            for ce, epath in cm.edge_expansion.items():
+                assert all(cm.edge_owner[e] == ce for e in epath)
+            for seed in range(10):
+                shuffled = core(h, rng=random.Random(seed), check=False)
+                assert shuffled.core == cm.core
+                assert shuffled.removed_pendants == cm.removed_pendants
+                assert shuffled.edge_expansion == cm.edge_expansion
+                assert shuffled.expansion_paths == cm.expansion_paths
 
     def test_core_is_3_edge_connected_on_random_inputs(self):
         rng = random.Random(27)
