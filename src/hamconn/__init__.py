@@ -15,6 +15,7 @@ from .corpus import (
     CorpusRecord,
     enumerate_labeled,
     enumerate_multigraph_corpus,
+    graph_classes,
     read_corpus_file,
 )
 from .encoding import (

@@ -1,10 +1,15 @@
 """Graph corpora: exhaustive enumeration and seeded random generators.
 
-The labeled enumeration is capped at 7 vertices (2^21 graphs); anything
-larger must come from an ingested file.  The multigraph corpus used by the
-trail-equivalence checks enumerates connected loopless multigraphs by
-support (one simple graph per isomorphism class) times bounded parallel-edge
-multiplicities, so every isomorphism class in range appears at least once.
+Exhaustive enumeration is capped at 7 vertices (2^21 labeled graphs);
+anything larger must come from an ingested file.  :func:`graph_classes`
+generates one simple graph per isomorphism class (1,252 classes on up to 7
+vertices) together with the number of labeled graphs in the class, so
+isomorphism-invariant counts over all labeled graphs need one graph per
+class; :func:`enumerate_labeled` still walks the labeled graphs themselves.
+The multigraph corpus used by the trail-equivalence checks enumerates
+connected loopless multigraphs by support (one simple graph per isomorphism
+class) times bounded parallel-edge multiplicities, so every isomorphism
+class in range appears at least once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
-from .errors import GraphError
+from .errors import GraphError, LiftFailedError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
 from .multigraph import Multigraph, SimpleGraph, canonical_labeling, relabel
 
@@ -81,15 +86,50 @@ def enumerate_labeled_upto(n: int) -> Iterator[SimpleGraph]:
         yield from enumerate_labeled(k)
 
 
+def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
+    """``(representative, labeled_count)`` for every isomorphism class of
+    simple graphs on 1..``max_vertices`` vertices, level by level.
+
+    Level n joins a new vertex n - 1 to each of the 2^(n-1) vertex subsets of
+    each level n - 1 representative and keeps the first graph of every
+    canonical form.  A labeled graph on n vertices is one labeled graph on
+    the first n - 1 vertices plus the neighbor set of the last, and
+    isomorphic graphs on n - 1 vertices have equally many subsets leading
+    into each class, so a class's labeled count is the sum of its parents'
+    counts over the (parent, subset) pairs that produce it; no automorphism
+    group is needed.  Every level's counts must add up to 2^C(n, 2), or
+    ``LiftFailedError`` is raised.
+    """
+    if max_vertices > MAX_ENUMERATION_VERTICES:
+        raise GraphError(f"enumeration bound capped at {MAX_ENUMERATION_VERTICES}")
+    level = [(SimpleGraph(1), 1)]
+    for n in range(1, max_vertices + 1):
+        if n > 1:
+            new = n - 1
+            classes: dict[tuple, list] = {}
+            for parent, weight in level:
+                for mask in range(1 << new):
+                    g = SimpleGraph(
+                        n, parent.endpoints + tuple((v, new) for v in range(new) if mask >> v & 1)
+                    )
+                    key = relabel(g, canonical_labeling(g)).sorted_edge_multiset()
+                    entry = classes.get(key)
+                    if entry is None:
+                        classes[key] = [g, weight]
+                    else:
+                        entry[1] += weight
+            level = [(g, weight) for g, weight in classes.values()]
+        total, pairs = sum(weight for _, weight in level), n * (n - 1) // 2
+        if total != 1 << pairs:
+            raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not 2^{pairs}")
+        yield from level
+
+
 def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:
     """One representative per isomorphism class of connected simple graphs:
-    the first labeled graph of each class in enumeration order."""
-    reps: dict[tuple, SimpleGraph] = {}
-    for n in range(1, max_vertices + 1):
-        for g in enumerate_labeled(n):
-            if g.is_connected():
-                reps.setdefault((n, relabel(g, canonical_labeling(g)).sorted_edge_multiset()), g)
-    return list(reps.values())
+    the connected classes of :func:`graph_classes`, each represented by the
+    first graph of its class in generation order."""
+    return [g for g, _ in graph_classes(max_vertices) if g.is_connected()]
 
 
 def enumerate_multigraph_corpus(

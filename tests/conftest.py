@@ -5,7 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hamconn.corpus import connected_graphs_up_to_isomorphism, enumerate_multigraph_corpus
+from hamconn.corpus import (
+    connected_graphs_up_to_isomorphism,
+    enumerate_multigraph_corpus,
+    graph_classes,
+)
 from hamconn.multigraph import (
     Multigraph,
     complete_graph,
@@ -59,6 +63,13 @@ def triangle_with_pendant():
 def connected_graphs_6():
     """One graph per isomorphism class of connected graphs on 1..6 vertices."""
     return connected_graphs_up_to_isomorphism(6)
+
+
+@pytest.fixture(scope="session")
+def graph_classes_7():
+    """(representative, labeled count) for each of the 1,252 isomorphism
+    classes of simple graphs on 1..7 vertices."""
+    return list(graph_classes(7))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from hamconn.constructions import (
 )
 from hamconn.core import core, lift_closed_trail
 from hamconn.corpus import (
-    enumerate_labeled,
     random_3_edge_connected_multigraph,
     random_connected_multigraph_with_loops,
     random_essentially_3ec_multigraph,
@@ -34,10 +33,8 @@ from hamconn.invariants import (
 from hamconn.linegraph import is_line_graph_of_multigraph, line_graph, preimage
 from hamconn.multigraph import (
     Multigraph,
-    canonical_labeling,
     complete_graph,
     isomorphic,
-    relabel,
     star_graph,
 )
 from hamconn.reduction import pipeline_ham_path
@@ -182,22 +179,20 @@ def test_criterion_08_preimage_correctness():
     _report(8, "roundtrip + simplicial<->pendant on 1000 random multigraphs + 3 fixtures", started)
 
 
-def test_criterion_09_pipeline_completeness():
+def test_criterion_09_pipeline_completeness(graph_classes_7):
     started = time.time()
-    classes: dict = {}
-    for n in range(1, 8):
-        for g in enumerate_labeled(n):
-            if not g.is_connected():
-                continue
-            if find_claw(g) is not None:
-                continue
-            if not is_k_connected(g, 3):
-                continue
-            if dominating_set(g, 3) is None:
-                continue
-            key = (g.n, relabel(g, canonical_labeling(g)).sorted_edge_multiset())
-            classes.setdefault(key, g)
-    reps = [g for g in classes.values() if is_line_graph_of_multigraph(g)]
+    hypothesis = [
+        g
+        for g, _ in graph_classes_7
+        if g.is_connected()
+        and find_claw(g) is None
+        and is_k_connected(g, 3)
+        and dominating_set(g, 3) is not None
+    ]
+    assert len(hypothesis) == 77
+    reps = [g for g in hypothesis if is_line_graph_of_multigraph(g)]
+    assert len(reps) == 46
+    assert sum(g.n * (g.n - 1) // 2 for g in reps) == 858
     extras = [
         line_graph(complete_graph(4)).target,
         line_graph(

@@ -31,6 +31,35 @@ class TestVerifyCommand:
         assert "domination<=3            0" in out
 
 
+class TestVerifyUnderO:
+    def test_certificates_run_under_dash_o(self):
+        # The labeled-count and monotonicity certificates raise rather than
+        # assert, so `python -O` still checks them.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "from hamconn.cli import main; raise SystemExit(main(['verify','--n','6']))"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        expected = {
+            "total": 33867,
+            "connected": 27476,
+            "claw-free": 11271,
+            "3-connected": 1645,
+            "domination<=3": 1645,
+            "hamiltonian-connected": 1645,
+        }
+        for name, count in expected.items():
+            assert f"  {name:24s} {count}\n" in done.stdout
+        assert "violations               0" in done.stdout
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("count", ["0", "-2", "two"])
     def test_rejected_at_parse_time(self, count, capsys):

@@ -8,6 +8,7 @@ from hamconn.corpus import (
     enumerate_labeled,
     enumerate_labeled_upto,
     enumerate_multigraph_corpus,
+    graph_classes,
     random_3_edge_connected_multigraph,
     random_essentially_3ec_multigraph,
 )
@@ -54,6 +55,36 @@ class TestIsomorphismClasses:
             by_n[g.n] = by_n.get(g.n, 0) + 1
         assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
+    def test_graph_class_counts_and_weights(self, graph_classes_7):
+        # 1, 2, 4, 11, 34, 156, 1044 graphs on 1..7 vertices up to isomorphism
+        # (1, 1, 2, 6, 21, 112, 853 connected), and each level's labeled
+        # counts cover all 2^C(n,2) labeled graphs
+        classes, connected, weights = {}, {}, {}
+        for g, copies in graph_classes_7:
+            classes[g.n] = classes.get(g.n, 0) + 1
+            connected[g.n] = connected.get(g.n, 0) + g.is_connected()
+            weights[g.n] = weights.get(g.n, 0) + copies
+        assert classes == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+        assert connected == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+        assert weights == {n: 1 << (n * (n - 1) // 2) for n in range(1, 8)}
+
+    def test_graph_class_counts_match_labeled_scan(self):
+        # each class's labeled count is the number of labeled graphs isomorphic to it
+        from hamconn.multigraph import canonical_labeling, relabel
+
+        def key(g):
+            return relabel(g, canonical_labeling(g)).sorted_edge_multiset()
+
+        for n in range(1, 6):
+            scanned = {}
+            for g in enumerate_labeled(n):
+                scanned[key(g)] = scanned.get(key(g), 0) + 1
+            assert {key(g): copies for g, copies in graph_classes(n) if g.n == n} == scanned
+
+    def test_graph_classes_bound_enforced(self):
+        with pytest.raises(GraphError):
+            next(graph_classes(MAX_ENUMERATION_VERTICES + 1))
+
     def test_representatives_pairwise_nonisomorphic(self):
         reps = [g for g in connected_graphs_up_to_isomorphism(4)]
         for i in range(len(reps)):
@@ -63,6 +94,9 @@ class TestIsomorphismClasses:
 
 
 class TestMultigraphCorpus:
+    def test_equivalence_corpus_size(self, equivalence_corpus):
+        assert len(equivalence_corpus) == 4119
+
     def test_all_members_in_contract(self):
         seen = 0
         for h in enumerate_multigraph_corpus(max_vertices=4, min_edges=3, max_edges=6):

@@ -23,10 +23,43 @@ class TestVerifyEnumerated:
         assert report.passed and report.check_monotone()
 
     def test_workers_do_not_change_the_report(self):
-        single = verify_theorem_enumerated(5, "thm1", workers=1)
-        dual = verify_theorem_enumerated(5, "thm1", workers=2)
+        single = verify_theorem_enumerated(6, "thm1", workers=1)
+        dual = verify_theorem_enumerated(6, "thm1", workers=2)
         assert single.stage_counts == dual.stage_counts
         assert single.violations == dual.violations
+
+    @pytest.mark.parametrize("hypothesis", ["thm1", "ageev"])
+    def test_classes_match_the_labeled_scan(self, hypothesis):
+        from hamconn.corpus import enumerate_labeled_upto
+
+        by_class = verify_theorem_enumerated(6, hypothesis)
+        labeled = verify_theorem_graphs(enumerate_labeled_upto(6), hypothesis)
+        assert by_class.stage_counts == labeled.stage_counts
+        assert by_class.violations == labeled.violations == ()
+
+    def test_violation_counts_its_labeled_copies(self, monkeypatch, tmp_path):
+        # Only K4 stays hamiltonian on 4 vertices: C4 (3 labeled copies) and
+        # K4 minus an edge (6 copies) become one violation each.
+        import hamconn.harness as harness
+        from hamconn.corpus import enumerate_labeled_upto
+
+        real = harness.is_hamiltonian
+        monkeypatch.setattr(
+            harness, "is_hamiltonian", lambda g: real(g) and (g.n != 4 or g.edge_count == 6)
+        )
+        report = verify_theorem_enumerated(4, "ageev")
+        assert sorted(v.copies for v in report.violations) == [3, 6]
+        assert all(v.pair is None for v in report.violations)
+        counts = [c for _, c in report.stage_counts]
+        assert counts[-2] - counts[-1] == 9 and report.check_monotone()
+        labeled = verify_theorem_graphs(enumerate_labeled_upto(4), "ageev")
+        assert labeled.stage_counts == report.stage_counts and len(labeled.violations) == 9
+        text = report.format()
+        assert "copies=3" in text and "copies=6" in text
+        path = tmp_path / "w.txt"
+        write_witnesses(report, str(path))
+        assert path.read_text() == "".join(f"{v.graph6}\n" for v in report.violations)
+        assert len(path.read_text().splitlines()) == 2
 
     def test_failed_monotonicity_check_raises(self, monkeypatch):
         from hamconn.errors import LiftFailedError
