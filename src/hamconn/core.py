@@ -27,6 +27,7 @@ from .errors import (
     DegenerateCoreError,
     DisconnectedGraphError,
     LiftFailedError,
+    NoCoreLocationError,
     NotEssentially3EdgeConnectedError,
 )
 from .invariants import edge_connectivity, find_essential_cut, vertices_dominate_edges
@@ -214,8 +215,6 @@ def project_vertex(cm: CoreMap, v: int) -> CoreLocation:
         return CoreLocation("vertex", cm.vertex_image[v])
     if v in cm.suppressed_location:
         return CoreLocation("edge", cm.suppressed_location[v])
-    from .errors import NoCoreLocationError
-
     raise NoCoreLocationError(f"vertex {v} was stripped with the pendant edges")
 
 

@@ -26,6 +26,9 @@ from .multigraph import Multigraph, SimpleGraph, canonical_labeling, relabel
 
 MAX_ENUMERATION_VERTICES = 7
 
+#: Isomorphism classes of simple graphs on 1..7 vertices (OEIS A000088).
+_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
+
 
 @dataclass(frozen=True)
 class CorpusRecord:
@@ -97,8 +100,9 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
     isomorphic graphs on n - 1 vertices have equally many subsets leading
     into each class, so a class's labeled count is the sum of its parents'
     counts over the (parent, subset) pairs that produce it; no automorphism
-    group is needed.  Every level's counts must add up to 2^C(n, 2), or
-    ``LiftFailedError`` is raised.
+    group is needed.  Every level's counts must add up to 2^C(n, 2), and
+    its number of classes must be the known one, or ``LiftFailedError`` is
+    raised; the sum checks the bookkeeping, the class count the merging.
     """
     if max_vertices > MAX_ENUMERATION_VERTICES:
         raise GraphError(f"enumeration bound capped at {MAX_ENUMERATION_VERTICES}")
@@ -122,6 +126,9 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
         total, pairs = sum(weight for _, weight in level), n * (n - 1) // 2
         if total != 1 << pairs:
             raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not 2^{pairs}")
+        known = _CLASS_COUNTS[n - 1]
+        if len(level) != known:
+            raise LiftFailedError(f"{len(level)} classes on {n} vertices, not {known}")
         yield from level
 
 

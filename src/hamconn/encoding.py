@@ -234,24 +234,3 @@ def decode_edgelist(text: str) -> Multigraph:
         edges.append((u, v))
     return Multigraph(n, edges)
 
-
-FORMATS = ("g6", "s6", "el")
-
-
-def decode_lines(text: str, fmt: str) -> list[Multigraph]:
-    """Decode a whole file in the given format ('g6', 's6', or 'el')."""
-    if fmt == "g6":
-        return [
-            decode_graph6(line)
-            for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if fmt == "s6":
-        return [
-            decode_sparse6(line)
-            for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if fmt == "el":
-        return [decode_edgelist(text)]
-    raise EncodingError(f"unknown format {fmt!r}; expected one of {FORMATS}")

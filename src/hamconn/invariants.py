@@ -7,6 +7,12 @@ inputs (a few dozen vertices); they use bitmask adjacency throughout.
 check it removes every vertex set of size ``k - 1`` and tests what is left
 for connectivity with one bitmask search.  Larger ``k`` and the exact value
 go through ``vertex_connectivity``, the one max-flow path.
+
+On multigraphs, ``find_essential_cut`` removes each small edge set as a
+bitmask and walks the components with ``_edge_component``; a component
+keeps an edge when its first vertex's mask in ``Multigraph.edge_masks()``
+(its incident edges) does.  A vertex set dominates the edges when the OR of
+its edge masks is full.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DisconnectedGraphError, GraphError, LiftFailedError
-from .multigraph import Multigraph, SimpleGraph, _bit_component
+from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component
 
 
 # -- claws ---------------------------------------------------------------------
@@ -304,29 +310,18 @@ def domination_number(g: SimpleGraph) -> int:
 # -- essential edge connectivity ----------------------------------------------------
 
 
-def _nontrivial_component_count(h: Multigraph, removed: frozenset[int]) -> int:
-    inc = h.incidence()
-    seen = [False] * h.n
+def _nontrivial_component_count(h: Multigraph, removed: int) -> int:
+    """How many components of ``h`` minus the edge mask ``removed`` keep an
+    edge, counted up to 2.  A component keeps one exactly when its first
+    vertex does: a larger component reaches its other vertices along kept
+    edges, and a lone vertex can keep only its loops."""
+    inc, masks = h.incidence(), h.edge_masks()
+    left = (1 << h.n) - 1
     count = 0
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        vertices = {start}
-        while stack:
-            x = stack.pop()
-            for e, w in inc[x]:
-                if e in removed:
-                    continue
-                if not seen[w]:
-                    seen[w] = True
-                    vertices.add(w)
-                    stack.append(w)
-        has_edge = any(
-            e not in removed and u in vertices for e, (u, _) in enumerate(h.endpoints)
-        )
-        if has_edge:
+    while left and count < 2:
+        v = (left & -left).bit_length() - 1
+        left &= ~_edge_component(inc, v, removed)
+        if masks[v] & ~removed:
             count += 1
     return count
 
@@ -342,9 +337,8 @@ def find_essential_cut(h: Multigraph, k: int) -> Optional[frozenset[int]]:
     m = h.edge_count
     for size in range(1, min(k - 1, m) + 1):
         for subset in itertools.combinations(range(m), size):
-            removed = frozenset(subset)
-            if _nontrivial_component_count(h, removed) >= 2:
-                return removed
+            if _nontrivial_component_count(h, sum(1 << e for e in subset)) == 2:
+                return frozenset(subset)
     return None
 
 
@@ -366,18 +360,18 @@ def is_essentially_k_edge_connected(h: Multigraph, k: int) -> bool:
 
 def edges_dominate(h: Multigraph, f: Iterable[int]) -> bool:
     """Whether every edge of ``h`` has an endpoint among the endpoints of ``f``."""
-    anchor = set()
+    anchors = []
     for e in f:
         h.check_edge(e)
-        u, v = h.endpoints[e]
-        anchor.add(u)
-        anchor.add(v)
-    return all(u in anchor or v in anchor for u, v in h.endpoints)
+        anchors.extend(h.endpoints[e])
+    return vertices_dominate_edges(h, anchors)
 
 
 def vertices_dominate_edges(h: Multigraph, vertices: Iterable[int]) -> bool:
     """Whether every edge of ``h`` has an endpoint in ``vertices``."""
-    vs = set(vertices)
-    for v in vs:
+    inc = h.edge_masks()
+    touched = 0
+    for v in vertices:
         h.check_vertex(v)
-    return all(u in vs or v in vs for u, v in h.endpoints)
+        touched |= inc[v]
+    return touched == (1 << h.edge_count) - 1

@@ -57,12 +57,15 @@ def line_graph(h: Multigraph) -> LineGraphMap:
     to all of them.  The result is always simple.
     """
     m = h.edge_count
+    inc = h.edge_masks()
     edges = []
-    for i in range(m):
-        a = set(h.endpoints[i])
-        for j in range(i + 1, m):
-            if a & set(h.endpoints[j]):
-                edges.append((i, j))
+    for i, (u, v) in enumerate(h.endpoints):
+        # Bit k of ``later`` is edge i + 1 + k, so pairs come out sorted.
+        later = (inc[u] | inc[v]) >> (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            edges.append((i, i + low.bit_length()))
     target = SimpleGraph(m, edges)
     return LineGraphMap(h, target, tuple(range(m)))
 

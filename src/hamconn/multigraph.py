@@ -8,6 +8,14 @@ construction: editing operations (:meth:`Multigraph.subdivide`,
 together with the id renumbering they induced, so callers can track any edge
 or vertex through an edit.
 
+Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
+grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
+an allowed vertex set.  :func:`_edge_component` is edge-restricted: it walks
+``incidence()`` while avoiding a blocked edge mask; ``component_of``,
+``contract``, the essential edge cuts and the trail search's reachability
+prune are all calls into it.  ``edge_masks()`` holds each vertex's incident
+edges as a bitmask, for the edge-set questions asked next to the walk.
+
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement with automorphism pruning (McKay & Piperno, "Practical graph
 isomorphism, II", 2014), which shortcuts sets of twin vertices.
@@ -47,6 +55,19 @@ def _bit_component(masks: Sequence[int], seed: int, allowed: int) -> int:
     return comp
 
 
+def _edge_component(inc: Sequence[Sequence[tuple[int, int]]], v: int, blocked: int) -> int:
+    """The vertices reachable from ``v`` along edges outside the edge mask
+    ``blocked``, as a bitmask; ``inc`` is ``Multigraph.incidence()``."""
+    comp = 1 << v
+    stack = [v]
+    while stack:
+        for e, w in inc[stack.pop()]:
+            if not (blocked >> e & 1 or comp >> w & 1):
+                comp |= 1 << w
+                stack.append(w)
+    return comp
+
+
 class Multigraph:
     """Undirected multigraph on vertices ``0..n-1``.
 
@@ -54,7 +75,7 @@ class Multigraph:
     normalized with the smaller vertex first.
     """
 
-    __slots__ = ("n", "endpoints", "_incidence", "_degrees", "_adjacency")
+    __slots__ = ("n", "endpoints", "_incidence", "_degrees", "_adjacency", "_edge_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -69,6 +90,7 @@ class Multigraph:
         self._incidence: Optional[tuple] = None
         self._degrees: Optional[tuple[int, ...]] = None
         self._adjacency: Optional[tuple[int, ...]] = None
+        self._edge_masks: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -134,6 +156,16 @@ class Multigraph:
             self._adjacency = tuple(masks)
         return self._adjacency
 
+    def edge_masks(self) -> tuple[int, ...]:
+        """Per-vertex bitmasks of incident edge ids; loops are included."""
+        if self._edge_masks is None:
+            masks = [0] * self.n
+            for e, (u, v) in enumerate(self.endpoints):
+                masks[u] |= 1 << e
+                masks[v] |= 1 << e
+            self._edge_masks = tuple(masks)
+        return self._edge_masks
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of ``v`` through non-loop edges, ascending."""
         self.check_vertex(v)
@@ -155,18 +187,12 @@ class Multigraph:
         return _bit_component(self.adjacency_masks(), 1, full) == full
 
     def component_of(self, v: int, forbidden_edges: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Vertices reachable from ``v`` avoiding ``forbidden_edges``."""
+        """Vertices reachable from ``v`` avoiding ``forbidden_edges``; ids
+        there that are not edges of the graph are ignored."""
         self.check_vertex(v)
-        inc = self.incidence()
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e, w in inc[x]:
-                if e not in forbidden_edges and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        blocked = sum(1 << e for e in range(len(self.endpoints)) if e in forbidden_edges)
+        comp = _edge_component(self.incidence(), v, blocked)
+        return frozenset(x for x in range(self.n) if comp >> x & 1)
 
     # -- editing (each returns a new graph plus renumbering maps) -----------
 
@@ -235,22 +261,20 @@ class Multigraph:
         r = set(r_edges)
         for e in r:
             self.check_edge(e)
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in r:
-            u, v = self.endpoints[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        roots = sorted({find(x) for x in range(self.n)})
-        fiber_index = {root: i for i, root in enumerate(roots)}
-        vertex_map = tuple(fiber_index[find(x)] for x in range(self.n))
+        # Fibers are numbered by their least vertex.
+        inc = self.incidence()
+        blocked = ((1 << len(self.endpoints)) - 1) & ~sum(1 << e for e in r)
+        vertex_map = [0] * self.n
+        fibers = 0
+        left = (1 << self.n) - 1
+        while left:
+            comp = _edge_component(inc, (left & -left).bit_length() - 1, blocked)
+            left &= ~comp
+            while comp:
+                low = comp & -comp
+                comp ^= low
+                vertex_map[low.bit_length() - 1] = fibers
+            fibers += 1
         target_edges = []
         edge_map = {}
         for e, (u, v) in enumerate(self.endpoints):
@@ -258,8 +282,8 @@ class Multigraph:
             if fu != fv:
                 edge_map[e] = len(target_edges)
                 target_edges.append((fu, fv))
-        target = Multigraph(len(roots), target_edges)
-        cmap = ContractionMap(self, target, vertex_map, edge_map, frozenset(r))
+        target = Multigraph(fibers, target_edges)
+        cmap = ContractionMap(self, target, tuple(vertex_map), edge_map, frozenset(r))
         ok, reason = cmap.validate()
         if not ok:
             raise GraphError(f"contraction produced an inconsistent map: {reason}")

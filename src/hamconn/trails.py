@@ -7,7 +7,9 @@ spanning closed trails, dominating closed trails and internally dominating
 trails are all calls into it.  States are ``(current vertex, used-edge
 bitmask)``; dead states are memoized, and a state is pruned when the goal,
 a required vertex or (when asked) some edge's domination is out of reach
-along unused edges.  Loops are never traversed except when a loop is itself
+along unused edges: reachability is ``_edge_component`` with the used edges
+blocked, and the edges a vertex dominates are its mask in the host's cached
+``edge_masks()``.  Loops are never traversed except when a loop is itself
 the prescribed first edge; loop edges still count for domination checks.
 
 ``_hamiltonian_order`` orders the vertices of a simple graph from a start
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import GraphError, LiftFailedError
-from .multigraph import Multigraph, SimpleGraph, _bit_component
+from .invariants import vertices_dominate_edges
+from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,7 @@ class Trail:
         return self.vertex_set() == frozenset(range(self.host.n))
 
     def dominates_host_edges(self) -> bool:
-        vs = self.vertex_set()
-        return all(u in vs or v in vs for u, v in self.host.endpoints)
+        return vertices_dominate_edges(self.host, self.vertices)
 
     def reversed(self) -> "Trail":
         return Trail(self.host, self.vertices[::-1], self.edges[::-1])
@@ -110,27 +112,6 @@ class IdtWitness:
 # -- the edge-trail engine (multigraphs) ----------------------------------------
 
 
-def _cover_masks(h: Multigraph) -> list[int]:
-    cover = [0] * h.n
-    for e, (u, v) in enumerate(h.endpoints):
-        cover[u] |= 1 << e
-        cover[v] |= 1 << e
-    return cover
-
-
-def _component_mask(inc, cur: int, used: int) -> int:
-    """Vertices reachable from ``cur`` along unused edges."""
-    comp = 1 << cur
-    stack = [cur]
-    while stack:
-        x = stack.pop()
-        for eid, w in inc[x]:
-            if not (used >> eid & 1) and not (comp >> w & 1):
-                comp |= 1 << w
-                stack.append(w)
-    return comp
-
-
 def _trail_search(
     h: Multigraph,
     start: int,
@@ -153,7 +134,7 @@ def _trail_search(
     closing edge are never extended along; they start out in the used mask.
     """
     inc = h.incidence()
-    cover = _cover_masks(h)
+    cover = h.edge_masks()
     full_cover = (1 << h.edge_count) - 1
     used = banned | 1 << first_edge
     for e, (u, v) in enumerate(h.endpoints):
@@ -176,7 +157,7 @@ def _trail_search(
         key = (cur, used)
         if key in dead:
             return False
-        comp = _component_mask(inc, cur, used)
+        comp = _edge_component(inc, cur, used)
         if not (comp & goal) or required_mask & ~(seen | comp):
             dead.add(key)
             return False

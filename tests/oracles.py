@@ -199,3 +199,50 @@ def spanning_connected_even_subgraph_exists(h: Multigraph) -> bool:
             if sub.is_connected():
                 return True
     return False
+
+
+def _nx_keyed(h: Multigraph, skip=()) -> "nx.MultiGraph":
+    """``h`` as a networkx multigraph keyed by edge id, self-loops kept,
+    without the edge ids in ``skip``."""
+    out = nx.MultiGraph()
+    out.add_nodes_from(range(h.n))
+    out.add_edges_from((u, v, e) for e, (u, v) in enumerate(h.endpoints) if e not in skip)
+    return out
+
+
+def nx_essential_cut(h: Multigraph, k: int):
+    """The first edge set, in ``combinations`` order by size, of size below
+    ``k`` that leaves two components holding an edge (a loop counts)."""
+    full = _nx_keyed(h)
+    for size in range(1, min(k - 1, h.edge_count) + 1):
+        for subset in itertools.combinations(range(h.edge_count), size):
+            rest = nx.restricted_view(full, [], [(*h.endpoints[e], e) for e in subset])
+            holding = sum(
+                1 for comp in nx.connected_components(rest) if any(rest.degree(v) for v in comp)
+            )
+            if holding >= 2:
+                return frozenset(subset)
+    return None
+
+
+def nx_component_of(h: Multigraph, v: int, forbidden) -> frozenset:
+    return frozenset(nx.node_connected_component(_nx_keyed(h, set(forbidden)), v))
+
+
+def pairwise_line_graph_edges(h: Multigraph) -> list:
+    """Edges (i, j), i < j, of L(h) from the definition, in (i, j) order."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(h.edge_count), 2)
+        if set(h.endpoints[i]) & set(h.endpoints[j])
+    ]
+
+
+def nx_contraction_vertex_map(h: Multigraph, r_edges) -> tuple:
+    """Vertex -> index of its component in the spanning subgraph on
+    ``r_edges``, components numbered in order of their least vertex."""
+    keep = set(r_edges)
+    sub = _nx_keyed(h, set(range(h.edge_count)) - keep)
+    comps = sorted(nx.connected_components(sub), key=min)
+    index = {v: i for i, comp in enumerate(comps) for v in comp}
+    return tuple(index[v] for v in range(h.n))

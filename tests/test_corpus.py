@@ -12,7 +12,7 @@ from hamconn.corpus import (
     random_3_edge_connected_multigraph,
     random_essentially_3ec_multigraph,
 )
-from hamconn.errors import GraphError
+from hamconn.errors import GraphError, LiftFailedError
 from hamconn.invariants import edge_connectivity, is_essentially_k_edge_connected
 from hamconn.multigraph import find_isomorphism
 
@@ -80,6 +80,13 @@ class TestIsomorphismClasses:
             for g in enumerate_labeled(n):
                 scanned[key(g)] = scanned.get(key(g), 0) + 1
             assert {key(g): copies for g, copies in graph_classes(n) if g.n == n} == scanned
+
+    def test_class_count_catches_a_labeling_that_merges_nothing(self, monkeypatch):
+        # with the identity as canonical labeling every labeled graph is its
+        # own class; the weights still add up, the class counts do not
+        monkeypatch.setattr("hamconn.corpus.canonical_labeling", lambda g: tuple(range(g.n)))
+        with pytest.raises(LiftFailedError):
+            list(graph_classes(4))
 
     def test_graph_classes_bound_enforced(self):
         with pytest.raises(GraphError):
@@ -153,6 +160,15 @@ class TestCorpusRecords:
         with pytest.raises(EncodingError) as err:
             read_corpus_file(str(path), "g6")
         assert ":2:" in str(err.value)
+
+    def test_unknown_format(self, tmp_path):
+        from hamconn.corpus import read_corpus_file
+        from hamconn.encoding import EncodingError
+
+        path = tmp_path / "c.xml"
+        path.write_text("<graph/>\n")
+        with pytest.raises(EncodingError):
+            read_corpus_file(str(path), "xml")
 
 
 class TestRandomGenerators:

@@ -7,7 +7,6 @@ from hamconn.encoding import (
     EncodingError,
     decode_edgelist,
     decode_graph6,
-    decode_lines,
     decode_sparse6,
     encode_edgelist,
     encode_graph6,
@@ -146,13 +145,3 @@ class TestEdgeList:
         with pytest.raises(EncodingError):
             decode_edgelist("2 2\n0 1\n")
 
-
-class TestDecodeLines:
-    def test_multiline_g6(self):
-        lines = "\n".join(encode_graph6(complete_graph(k)) for k in (2, 3, 4))
-        graphs = decode_lines(lines, "g6")
-        assert [g.n for g in graphs] == [2, 3, 4]
-
-    def test_unknown_format(self):
-        with pytest.raises(EncodingError):
-            decode_lines("", "xml")

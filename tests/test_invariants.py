@@ -32,7 +32,7 @@ from hamconn.multigraph import (
     star_graph,
 )
 
-from oracles import brute_dominating_sets, brute_domination_number, to_nx
+from oracles import brute_dominating_sets, brute_domination_number, nx_essential_cut, to_nx
 
 import networkx as nx
 
@@ -175,6 +175,16 @@ class TestEssentialEdgeConnectivity:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             is_essentially_k_edge_connected(Multigraph(2, []), 3)
+
+    def test_cut_matches_the_oracle_on_the_corpus(self, equivalence_corpus):
+        for h in equivalence_corpus:
+            assert find_essential_cut(h, 3) == nx_essential_cut(h, 3), h
+
+    def test_cut_matches_the_oracle_with_loops(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            h = random_connected_multigraph_with_loops(rng)
+            assert find_essential_cut(h, 3) == nx_essential_cut(h, 3), h
 
     def test_line_graph_connectivity_correspondence(self):
         # A line graph is 3-connected exactly when its preimage is

@@ -16,7 +16,7 @@ from hamconn.multigraph import (
     star_graph,
 )
 
-from oracles import nx_isomorphic
+from oracles import nx_isomorphic, pairwise_line_graph_edges
 
 
 def pendant_edges(h: Multigraph) -> set[int]:
@@ -46,6 +46,13 @@ class TestLineGraph:
             lgm = line_graph(h)
             assert lgm.target.n == h.edge_count
             lgm.validate()
+
+    def test_edges_in_pairwise_order(self):
+        # the edge ids of L(H) follow the (i, j) order of the definition
+        rng = random.Random(31)
+        for _ in range(300):
+            h = random_connected_multigraph_with_loops(rng)
+            assert list(line_graph(h).target.endpoints) == pairwise_line_graph_edges(h), h
 
     def test_loop_adjacent_to_every_edge_at_its_vertex(self):
         h = Multigraph(3, [(0, 0), (0, 1), (0, 2), (1, 2)])

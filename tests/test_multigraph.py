@@ -18,7 +18,20 @@ from hamconn.multigraph import (
     star_graph,
 )
 
-from oracles import nx_isomorphic, permutation_isomorphic
+from oracles import (
+    nx_component_of,
+    nx_contraction_vertex_map,
+    nx_isomorphic,
+    permutation_isomorphic,
+)
+
+
+def random_multigraph_with_loops(rng: random.Random) -> Multigraph:
+    """Up to 8 vertices and 14 edges, loops and parallel edges allowed,
+    possibly disconnected."""
+    n = rng.randint(1, 8)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
+    return Multigraph(n, edges)
 
 
 class TestBasics:
@@ -46,9 +59,7 @@ class TestBasics:
     def test_degree_sum_is_twice_edge_count(self):
         rng = random.Random(3)
         for _ in range(200):
-            n = rng.randint(1, 8)
-            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
-            g = Multigraph(n, edges)
+            g = random_multigraph_with_loops(rng)
             assert sum(g.degrees()) == 2 * g.edge_count
 
 
@@ -132,6 +143,13 @@ class TestContract:
         # contracting one edge of a triangle keeps both remaining edges
         cm = cycle_graph(3).contract([0])
         assert cm.target.n == 2 and cm.target.edge_count == 2
+
+    def test_fibers_numbered_by_least_vertex(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            g = random_multigraph_with_loops(rng)
+            r = rng.sample(range(g.edge_count), rng.randint(0, g.edge_count))
+            assert g.contract(r).vertex_map == nx_contraction_vertex_map(g, r), (g, r)
 
     def test_validate_rejects_tampered_map(self, k4):
         cm = k4.contract([0])
@@ -273,7 +291,15 @@ class TestConnectivityQueries:
     def test_matches_component_of_with_loops(self):
         rng = random.Random(3)
         for _ in range(300):
-            n = rng.randint(1, 8)
-            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
-            g = Multigraph(n, edges)
-            assert g.is_connected() == (len(g.component_of(0)) == n), g
+            g = random_multigraph_with_loops(rng)
+            assert g.is_connected() == (len(g.component_of(0)) == g.n), g
+
+    def test_component_of_matches_the_oracle(self):
+        # forbidden ids outside 0..m-1, negative ones included, are ignored
+        rng = random.Random(29)
+        for _ in range(300):
+            g = random_multigraph_with_loops(rng)
+            m = g.edge_count
+            forbidden = frozenset(rng.sample(range(-3, m + 3), rng.randint(0, m + 6)))
+            for v in range(g.n):
+                assert g.component_of(v, forbidden) == nx_component_of(g, v, forbidden), g
