@@ -1,11 +1,19 @@
 """Graph corpora: exhaustive enumeration and seeded random generators.
 
-Exhaustive enumeration is capped at 7 vertices (2^21 labeled graphs);
+Exhaustive enumeration is capped at 8 vertices (2^28 labeled graphs);
 anything larger must come from an ingested file.  :func:`graph_classes`
-generates one simple graph per isomorphism class (1,252 classes on up to 7
+generates one simple graph per isomorphism class (13,598 classes on up to 8
 vertices) together with the number of labeled graphs in the class, so
 isomorphism-invariant counts over all labeled graphs need one graph per
 class; :func:`enumerate_labeled` still walks the labeled graphs themselves.
+The generation is isomorph-free in McKay's sense ("Isomorph-free exhaustive
+generation", J. Algorithms 1998): a class on n vertices grows from each
+class on n - 1 by the neighbor set of a new vertex, and only one neighbor
+set per orbit of the parent's automorphism group is labeled.  The group
+comes for free from the parent's own canonical labeling, whose search
+collects automorphisms to prune itself, so level n makes one labeling per
+graph on n - 1 vertices with a marked vertex subset (OEIS A000666: 5,096
+at n = 7, 79,264 at n = 8) instead of one per (parent, subset) pair.
 The multigraph corpus used by the trail-equivalence checks enumerates
 connected loopless multigraphs by support (one simple graph per isomorphism
 class) times bounded parallel-edge multiplicities, so every isomorphism
@@ -22,12 +30,12 @@ from typing import Iterator, Union
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError, LiftFailedError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
-from .multigraph import Multigraph, SimpleGraph, canonical_labeling, relabel
+from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, canonical_labeling
 
-MAX_ENUMERATION_VERTICES = 7
+MAX_ENUMERATION_VERTICES = 8
 
-#: Isomorphism classes of simple graphs on 1..7 vertices (OEIS A000088).
-_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
+#: Isomorphism classes of simple graphs on 1..8 vertices (OEIS A000088).
+_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
 
 
 @dataclass(frozen=True)
@@ -93,43 +101,88 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
     """``(representative, labeled_count)`` for every isomorphism class of
     simple graphs on 1..``max_vertices`` vertices, level by level.
 
-    Level n joins a new vertex n - 1 to each of the 2^(n-1) vertex subsets of
-    each level n - 1 representative and keeps the first graph of every
+    Level n joins a new vertex n - 1 to the vertex subsets (neighbor masks)
+    of each level n - 1 representative and keeps the first graph of every
     canonical form.  A labeled graph on n vertices is one labeled graph on
     the first n - 1 vertices plus the neighbor set of the last, and
     isomorphic graphs on n - 1 vertices have equally many subsets leading
     into each class, so a class's labeled count is the sum of its parents'
     counts over the (parent, subset) pairs that produce it; no automorphism
-    group is needed.  Every level's counts must add up to 2^C(n, 2), and
-    its number of classes must be the known one, or ``LiftFailedError`` is
-    raised; the sum checks the bookkeeping, the class count the merging.
+    group order is needed.
+
+    Subsets in one orbit of Aut(parent) give isomorphic children, so each
+    parent's masks are walked in ascending order, and each mask not yet seen
+    is labeled once for its whole orbit, which it closes under the
+    automorphisms ``canonical_labeling`` found while labeling the parent;
+    the orbit's size multiplies the parent's count.  The least mask leading
+    into a class is the least of its orbit, so representatives and counts
+    are the same as when every subset is labeled.  Each automorphism must
+    map the parent's edges onto themselves, every level's counts must add
+    up to 2^C(n, 2), and its number of classes must be the known one, or
+    ``LiftFailedError`` is raised; the sum checks the bookkeeping, the
+    class count the merging.
     """
     if max_vertices > MAX_ENUMERATION_VERTICES:
         raise GraphError(f"enumeration bound capped at {MAX_ENUMERATION_VERTICES}")
-    level = [(SimpleGraph(1), 1)]
+    level = [(SimpleGraph(1), 1, [])]
     for n in range(1, max_vertices + 1):
         if n > 1:
             new = n - 1
             classes: dict[tuple, list] = {}
-            for parent, weight in level:
+            for parent, weight, automorphisms in level:
+                images = _mask_images(parent, automorphisms)
+                seen = bytearray(1 << new)
                 for mask in range(1 << new):
+                    if seen[mask]:
+                        continue
+                    seen[mask] = 1
+                    orbit = [mask]
+                    for member in orbit:
+                        for image in images:
+                            other = image[member]
+                            if not seen[other]:
+                                seen[other] = 1
+                                orbit.append(other)
                     g = SimpleGraph(
                         n, parent.endpoints + tuple((v, new) for v in range(new) if mask >> v & 1)
                     )
-                    key = relabel(g, canonical_labeling(g)).sorted_edge_multiset()
+                    found: list = []
+                    perm = canonical_labeling(g, automorphisms=found)
+                    key = tuple(
+                        sorted(
+                            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+                            for u, v in g.endpoints
+                        )
+                    )
                     entry = classes.get(key)
                     if entry is None:
-                        classes[key] = [g, weight]
+                        classes[key] = [g, weight * len(orbit), found]
                     else:
-                        entry[1] += weight
-            level = [(g, weight) for g, weight in classes.values()]
-        total, pairs = sum(weight for _, weight in level), n * (n - 1) // 2
+                        entry[1] += weight * len(orbit)
+            level = list(classes.values())
+        total, pairs = sum(entry[1] for entry in level), n * (n - 1) // 2
         if total != 1 << pairs:
             raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not 2^{pairs}")
         known = _CLASS_COUNTS[n - 1]
         if len(level) != known:
             raise LiftFailedError(f"{len(level)} classes on {n} vertices, not {known}")
-        yield from level
+        yield from ((g, weight) for g, weight, _ in level)
+
+
+def _mask_images(g: SimpleGraph, automorphisms: list) -> list[list[int]]:
+    """For each automorphism of ``g``, the image of every vertex mask of
+    ``g``, indexed by the mask; raises ``LiftFailedError`` on a map that is
+    not an automorphism."""
+    tables = []
+    for aut in automorphisms:
+        if not _is_isomorphism(g, g, aut):
+            raise LiftFailedError(f"{aut} is not an automorphism of {g!r}")
+        table = [0] * (1 << g.n)
+        for mask in range(1, 1 << g.n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << aut[low.bit_length() - 1]
+        tables.append(table)
+    return tables
 
 
 def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:

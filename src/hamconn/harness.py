@@ -5,8 +5,8 @@ and checks the conclusion on the survivors, reporting per-stage counts and
 any violating graphs as re-checkable witnesses.  Every stage predicate is an
 isomorphism invariant, so the exhaustive check runs once per isomorphism
 class (``corpus.graph_classes``) and adds the class's labeled count to each
-stage it passes: the 2,131,019 labeled graphs on up to 7 vertices are
-covered by 1,252 weighted classes.  Work can fan out across a process pool;
+stage it passes: the 270,566,475 labeled graphs on up to 8 vertices are
+covered by 13,598 weighted classes.  Work can fan out across a process pool;
 per-graph work is pure and reports merge deterministically in input order,
 so worker count never changes the result.
 """

@@ -18,7 +18,9 @@ edges as a bitmask, for the edge-set questions asked next to the walk.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement with automorphism pruning (McKay & Piperno, "Practical graph
-isomorphism, II", 2014), which shortcuts sets of twin vertices.
+isomorphism, II", 2014), which shortcuts sets of twin vertices.  The
+automorphisms its search finds for pruning are handed to callers that ask,
+so the class generator in ``corpus`` gets each parent's group for free.
 :func:`find_isomorphism` compares the canonical forms of its two graphs.
 """
 
@@ -452,7 +454,12 @@ def _root_refinement(g: Multigraph) -> tuple[list[dict[int, int]], list[list[int
     return rows, adj, _refine(adj, [0] * g.n)
 
 
-def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> tuple[int, ...]:
+def canonical_labeling(
+    g: Multigraph,
+    *,
+    size_guard: int = ISOMORPHISM_SIZE_GUARD,
+    automorphisms: Optional[list] = None,
+) -> tuple[int, ...]:
     """A relabeling permutation depending only on the isomorphism class:
     ``relabel(a, canonical_labeling(a)) == relabel(b, canonical_labeling(b))``
     whenever ``a`` and ``b`` are isomorphic.
@@ -465,18 +472,26 @@ def canonical_labeling(g: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUAR
     leaf, labeled by (color, vertex); the least sorted edge list over the
     leaves is the canonical form.  Exponential in the worst case, fine at
     desk scale.
+
+    When ``automorphisms`` is a list, the automorphisms the search used for
+    pruning (twin swaps and the maps between leaves with equal codes) are
+    appended to it, each as a list mapping vertex ``v`` to its image.
     """
     if g.n > size_guard:
         raise GraphError(f"canonical labeling capped at {size_guard} vertices")
     if g.n == 0:
         return ()
-    return _labeling(g, *_root_refinement(g))
+    perm, auts = _labeling(g, *_root_refinement(g))
+    if automorphisms is not None:
+        automorphisms.extend(auts)
+    return perm
 
 
 def _labeling(
     g: Multigraph, rows: list[dict[int, int]], adj: list[list[int]], root: list[int]
-) -> tuple[int, ...]:
-    """The search behind ``canonical_labeling``, from ``_root_refinement(g)``."""
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The search behind ``canonical_labeling``, from ``_root_refinement(g)``:
+    the permutation and the automorphisms found on the way."""
     n = g.n
     # Twins (equal loops and equal multiplicity to every other vertex) are
     # swapped by an automorphism, so they share a root color; twin[v] is the
@@ -553,7 +568,7 @@ def _labeling(
         return depth
 
     search(root, [])
-    return tuple(best["perm"])
+    return tuple(best["perm"]), auts
 
 
 def find_isomorphism(
@@ -575,8 +590,8 @@ def find_isomorphism(
     start_a, start_b = _root_refinement(a), _root_refinement(b)
     if sorted(start_a[2]) != sorted(start_b[2]):
         return None
-    perm_a = _labeling(a, *start_a)
-    perm_b = _labeling(b, *start_b)
+    perm_a = _labeling(a, *start_a)[0]
+    perm_b = _labeling(b, *start_b)[0]
     if relabel(a, perm_a) != relabel(b, perm_b):
         return None
     inv_b = sorted(range(b.n), key=perm_b.__getitem__)

@@ -246,3 +246,34 @@ def nx_contraction_vertex_map(h: Multigraph, r_edges) -> tuple:
     comps = sorted(nx.connected_components(sub), key=min)
     index = {v: i for i, comp in enumerate(comps) for v in comp}
     return tuple(index[v] for v in range(h.n))
+
+
+def unpruned_graph_classes(max_vertices: int) -> list:
+    """``(n, endpoints, labeled_count)`` per isomorphism class of simple
+    graphs on 1..``max_vertices`` vertices, in the order ``graph_classes``
+    defines: every class representative on n - 1 vertices, in order, is
+    joined to all 2^(n-1) neighbor sets of a new vertex n - 1, and each
+    child adds its parent's count to the first class it is isomorphic to
+    (networkx), or starts a new class with itself as representative."""
+    level = [((), 1)]
+    out = [(1, (), 1)]
+    for n in range(2, max_vertices + 1):
+        classes: list = []  # [endpoints, count, networkx graph]
+        buckets: dict = {}  # sorted degree sequence -> indices into classes
+        for endpoints, weight in level:
+            for mask in range(1 << (n - 1)):
+                child = endpoints + tuple((v, n - 1) for v in range(n - 1) if mask >> v & 1)
+                graph = nx.Graph()
+                graph.add_nodes_from(range(n))
+                graph.add_edges_from(child)
+                bucket = buckets.setdefault(tuple(sorted(d for _, d in graph.degree())), [])
+                for i in bucket:
+                    if nx.is_isomorphic(classes[i][2], graph):
+                        classes[i][1] += weight
+                        break
+                else:
+                    bucket.append(len(classes))
+                    classes.append([child, weight, graph])
+        level = [(endpoints, weight) for endpoints, weight, _ in classes]
+        out.extend((n, endpoints, weight) for endpoints, weight in level)
+    return out

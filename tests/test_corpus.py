@@ -84,8 +84,66 @@ class TestIsomorphismClasses:
     def test_class_count_catches_a_labeling_that_merges_nothing(self, monkeypatch):
         # with the identity as canonical labeling every labeled graph is its
         # own class; the weights still add up, the class counts do not
-        monkeypatch.setattr("hamconn.corpus.canonical_labeling", lambda g: tuple(range(g.n)))
+        monkeypatch.setattr("hamconn.corpus.canonical_labeling", lambda g, **_: tuple(range(g.n)))
         with pytest.raises(LiftFailedError):
+            list(graph_classes(4))
+
+    def test_classes_match_the_unpruned_oracle(self):
+        # orbit pruning keeps every representative and labeled count
+        from oracles import unpruned_graph_classes
+
+        mine = [(g.n, g.endpoints, copies) for g, copies in graph_classes(6)]
+        assert mine == unpruned_graph_classes(6)
+
+    def test_one_labeling_per_orbit_of_the_full_group(self, monkeypatch):
+        # the automorphisms found while labeling a class generate its whole
+        # group, |Aut(G)| = n! / copies, so level n labels one neighbor set
+        # per orbit: A000666(n - 1) graphs
+        from math import factorial
+
+        from hamconn import corpus
+        from hamconn.multigraph import canonical_labeling
+
+        for g, copies in graph_classes(6):
+            generators: list = []
+            canonical_labeling(g, automorphisms=generators)
+            edges = g.sorted_edge_multiset()
+            for aut in generators:
+                assert tuple(sorted(tuple(sorted((aut[u], aut[v]))) for u, v in g.endpoints)) == edges
+            group = {tuple(range(g.n))}
+            frontier = list(group)
+            while frontier:
+                perm = frontier.pop()
+                for aut in generators:
+                    product = tuple(aut[x] for x in perm)
+                    if product not in group:
+                        group.add(product)
+                        frontier.append(product)
+            assert len(group) == factorial(g.n) // copies, g
+
+        labeled: dict[int, int] = {}
+
+        def counting(g, **kwargs):
+            labeled[g.n] = labeled.get(g.n, 0) + 1
+            return canonical_labeling(g, **kwargs)
+
+        monkeypatch.setattr(corpus, "canonical_labeling", counting)
+        list(graph_classes(6))
+        assert labeled == {2: 2, 3: 6, 4: 20, 5: 90, 6: 544}
+
+    def test_a_generator_that_is_no_automorphism_is_caught(self, monkeypatch):
+        # swapping vertices 0 and 1 is not an automorphism of most graphs on
+        # 3 vertices; an orbit closed under it would merge distinct children
+        from hamconn.multigraph import canonical_labeling
+
+        def with_a_bad_generator(g, **kwargs):
+            perm = canonical_labeling(g, **kwargs)
+            if g.n >= 2:
+                kwargs["automorphisms"].append([1, 0] + list(range(2, g.n)))
+            return perm
+
+        monkeypatch.setattr("hamconn.corpus.canonical_labeling", with_a_bad_generator)
+        with pytest.raises(LiftFailedError, match="not an automorphism"):
             list(graph_classes(4))
 
     def test_graph_classes_bound_enforced(self):
