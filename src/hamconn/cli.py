@@ -153,6 +153,7 @@ def _positive_int(what: str):
 
 _worker_count = _positive_int("worker")
 _pendant_count = _positive_int("pendant edge per vertex")
+_vertex_bound = _positive_int("vertex")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a theorem over a corpus")
     p.add_argument("--hypothesis", choices=HYPOTHESES, default="thm1")
-    p.add_argument("--n", type=int, default=6, help="enumerate all labeled graphs up to this order")
+    p.add_argument(
+        "--n",
+        type=_vertex_bound,
+        default=6,
+        help="enumerate all labeled graphs on 1..N vertices (N at most 10)",
+    )
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--emit-witnesses", help="write violating graphs to this file")
     add_input_options(p, named=False)

@@ -1,19 +1,29 @@
 """Graph corpora: exhaustive enumeration and seeded random generators.
 
-Exhaustive enumeration is capped at 8 vertices (2^28 labeled graphs);
-anything larger must come from an ingested file.  :func:`graph_classes`
-generates one simple graph per isomorphism class (13,598 classes on up to 8
-vertices) together with the number of labeled graphs in the class, so
-isomorphism-invariant counts over all labeled graphs need one graph per
-class; :func:`enumerate_labeled` still walks the labeled graphs themselves.
-The generation is isomorph-free in McKay's sense ("Isomorph-free exhaustive
-generation", J. Algorithms 1998): a class on n vertices grows from each
-class on n - 1 by the neighbor set of a new vertex, and only one neighbor
-set per orbit of the parent's automorphism group is labeled.  The group
-comes for free from the parent's own canonical labeling, whose search
-collects automorphisms to prune itself, so level n makes one labeling per
-graph on n - 1 vertices with a marked vertex subset (OEIS A000666: 5,096
-at n = 7, 79,264 at n = 8) instead of one per (parent, subset) pair.
+Exhaustive enumeration is capped at 8 vertices (2^28 labeled graphs), and
+at 10 for claw-free graphs; anything larger must come from an ingested
+file.  :func:`graph_classes` generates one simple graph per isomorphism
+class (13,598 classes on up to 8 vertices) together with the number of
+labeled graphs in the class, so isomorphism-invariant counts over all
+labeled graphs need one graph per class; :func:`enumerate_labeled` still
+walks the labeled graphs themselves.  The generation is isomorph-free in
+McKay's sense ("Isomorph-free exhaustive generation", J. Algorithms 1998):
+a class on n vertices grows from each class on n - 1 by the neighbor set of
+a new vertex, and only one neighbor set per orbit of the parent's
+automorphism group is labeled.  The group comes for free from the parent's
+own canonical labeling, whose search collects automorphisms to prune
+itself, so level n makes one labeling per graph on n - 1 vertices with a
+marked vertex subset (OEIS A000666: 5,096 at n = 7, 79,264 at n = 8)
+instead of one per (parent, subset) pair.
+
+Claw-freeness is hereditary: deleting the newest vertex of a claw-free
+graph leaves a claw-free graph.  So ``graph_classes(n, claw_free=True)``
+extends only claw-free classes and drops, with one bitmask test per orbit
+and before any labeling, each neighbor set that closes a claw (1,715
+classes on up to 8 vertices, 42,179 on up to 10).  The labeled counts of
+all graphs and of connected graphs, which the exhaustive check still
+reports, have closed forms (:func:`labeled_counts`).
+
 The multigraph corpus used by the trail-equivalence checks enumerates
 connected loopless multigraphs by support (one simple graph per isomorphism
 class) times bounded parallel-edge multiplicities, so every isomorphism
@@ -25,6 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Union
 
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
@@ -33,9 +44,12 @@ from .invariants import edge_connectivity, is_essentially_k_edge_connected
 from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, canonical_labeling
 
 MAX_ENUMERATION_VERTICES = 8
+MAX_CLAW_FREE_VERTICES = 10
 
 #: Isomorphism classes of simple graphs on 1..8 vertices (OEIS A000088).
 _CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+#: Isomorphism classes of claw-free simple graphs on 1..10 vertices.
+_CLAW_FREE_CLASS_COUNTS = (1, 2, 4, 10, 26, 85, 302, 1285, 6170, 34294)
 
 
 @dataclass(frozen=True)
@@ -97,9 +111,12 @@ def enumerate_labeled_upto(n: int) -> Iterator[SimpleGraph]:
         yield from enumerate_labeled(k)
 
 
-def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
+def graph_classes(
+    max_vertices: int, *, claw_free: bool = False
+) -> Iterator[tuple[SimpleGraph, int]]:
     """``(representative, labeled_count)`` for every isomorphism class of
-    simple graphs on 1..``max_vertices`` vertices, level by level.
+    simple graphs on 1..``max_vertices`` vertices, level by level; with
+    ``claw_free``, for every class of claw-free graphs only.
 
     Level n joins a new vertex n - 1 to the vertex subsets (neighbor masks)
     of each level n - 1 representative and keeps the first graph of every
@@ -116,21 +133,41 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
     automorphisms ``canonical_labeling`` found while labeling the parent;
     the orbit's size multiplies the parent's count.  The least mask leading
     into a class is the least of its orbit, so representatives and counts
-    are the same as when every subset is labeled.  Each automorphism must
-    map the parent's edges onto themselves, every level's counts must add
-    up to 2^C(n, 2), and its number of classes must be the known one, or
+    are the same as when every subset is labeled.
+
+    A claw-free graph's parent is claw-free, so with ``claw_free`` only
+    claw-free classes are extended, and an orbit whose least mask closes a
+    claw through the new vertex (:func:`_makes_claw`) is rejected before it
+    is labeled.  Parents keep their relative order, so every claw-free
+    class has the same representative and count as in the full generation.
+
+    Each automorphism must map the parent's edges onto themselves, the
+    counts of a level's classes plus those of its rejected orbits must add
+    up to its parents' counts times 2^(n - 1) (2^C(n, 2) in all when nothing
+    is rejected), and its number of classes must be the known one, or
     ``LiftFailedError`` is raised; the sum checks the bookkeeping, the
-    class count the merging.
+    class count the merging and the claw test.  The full generation is
+    capped at 8 vertices, the claw-free one at 10.
     """
-    if max_vertices > MAX_ENUMERATION_VERTICES:
-        raise GraphError(f"enumeration bound capped at {MAX_ENUMERATION_VERTICES}")
+    cap, known_counts = (
+        (MAX_CLAW_FREE_VERTICES, _CLAW_FREE_CLASS_COUNTS)
+        if claw_free
+        else (MAX_ENUMERATION_VERTICES, _CLASS_COUNTS)
+    )
+    if max_vertices > cap:
+        kind = "claw-free enumeration" if claw_free else "enumeration"
+        raise GraphError(f"{kind} bound capped at {cap}")
     level = [(SimpleGraph(1), 1, [])]
+    expected = 1
     for n in range(1, max_vertices + 1):
+        rejected = 0
         if n > 1:
             new = n - 1
+            expected = sum(entry[1] for entry in level) << new
             classes: dict[tuple, list] = {}
             for parent, weight, automorphisms in level:
                 images = _mask_images(parent, automorphisms)
+                adjacency = parent.adjacency_masks()
                 seen = bytearray(1 << new)
                 for mask in range(1 << new):
                     if seen[mask]:
@@ -143,6 +180,9 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
                             if not seen[other]:
                                 seen[other] = 1
                                 orbit.append(other)
+                    if claw_free and _makes_claw(adjacency, mask):
+                        rejected += weight * len(orbit)
+                        continue
                     g = SimpleGraph(
                         n, parent.endpoints + tuple((v, new) for v in range(new) if mask >> v & 1)
                     )
@@ -160,13 +200,57 @@ def graph_classes(max_vertices: int) -> Iterator[tuple[SimpleGraph, int]]:
                     else:
                         entry[1] += weight * len(orbit)
             level = list(classes.values())
-        total, pairs = sum(entry[1] for entry in level), n * (n - 1) // 2
-        if total != 1 << pairs:
-            raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not 2^{pairs}")
-        known = _CLASS_COUNTS[n - 1]
+        total = sum(entry[1] for entry in level) + rejected
+        if total != expected:
+            raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not {expected}")
+        known = known_counts[n - 1]
         if len(level) != known:
             raise LiftFailedError(f"{len(level)} classes on {n} vertices, not {known}")
         yield from ((g, weight) for g, weight, _ in level)
+
+
+def _makes_claw(adjacency: list[int], mask: int) -> bool:
+    """Whether a new vertex joined to the vertices of ``mask`` closes a claw
+    in the claw-free graph with neighbor bitmasks ``adjacency``: as the
+    center, when the mask holds three pairwise non-adjacent vertices, or as
+    a leaf, when some vertex of the mask has two non-adjacent neighbors
+    outside the mask."""
+    if _has_independent(adjacency, mask, 3):
+        return True
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _has_independent(adjacency, adjacency[low.bit_length() - 1] & ~mask, 2):
+            return True
+    return False
+
+
+def _has_independent(adjacency: list[int], vertices: int, k: int) -> bool:
+    """Whether the vertex bitmask ``vertices`` holds ``k`` pairwise
+    non-adjacent vertices."""
+    if k == 0:
+        return True
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        if _has_independent(adjacency, vertices & ~adjacency[low.bit_length() - 1], k - 1):
+            return True
+    return False
+
+
+def labeled_counts(n: int) -> tuple[int, int]:
+    """``(all, connected)``: the numbers of labeled simple graphs on ``n``
+    vertices and of connected ones.  All is 2^C(n, 2); a graph that is not
+    connected has vertex 0 in a component of some k < n vertices, which
+    gives the recurrence for the connected ones (OEIS A001187)."""
+    connected = [0, 1]
+    for m in range(2, n + 1):
+        connected.append(
+            (1 << comb(m, 2))
+            - sum(comb(m - 1, k - 1) * connected[k] << comb(m - k, 2) for k in range(1, m))
+        )
+    return 1 << comb(n, 2), connected[n]
 
 
 def _mask_images(g: SimpleGraph, automorphisms: list) -> list[list[int]]:

@@ -11,10 +11,10 @@ or vertex through an edit.
 Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
 grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
 an allowed vertex set.  :func:`_edge_component` is edge-restricted: it walks
-``incidence()`` while avoiding a blocked edge mask; ``component_of``,
-``contract``, the essential edge cuts and the trail search's reachability
-prune are all calls into it.  ``edge_masks()`` holds each vertex's incident
-edges as a bitmask, for the edge-set questions asked next to the walk.
+``incidence()`` while avoiding a blocked edge mask; ``contract``, the
+essential edge cuts and the trail search's reachability prune are all
+calls into it.  ``edge_masks()`` holds each vertex's incident edges as a
+bitmask, for the edge-set questions asked next to the walk.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement with automorphism pruning (McKay & Piperno, "Practical graph
@@ -187,14 +187,6 @@ class Multigraph:
         """Reachability over non-loop edges; the empty graph counts as connected."""
         full = (1 << self.n) - 1
         return _bit_component(self.adjacency_masks(), 1, full) == full
-
-    def component_of(self, v: int, forbidden_edges: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Vertices reachable from ``v`` avoiding ``forbidden_edges``; ids
-        there that are not edges of the graph are ignored."""
-        self.check_vertex(v)
-        blocked = sum(1 << e for e in range(len(self.endpoints)) if e in forbidden_edges)
-        comp = _edge_component(self.incidence(), v, blocked)
-        return frozenset(x for x in range(self.n) if comp >> x & 1)
 
     # -- editing (each returns a new graph plus renumbering maps) -----------
 

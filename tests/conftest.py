@@ -73,6 +73,13 @@ def graph_classes_7():
 
 
 @pytest.fixture(scope="session")
+def graph_classes_8():
+    """(representative, labeled count) for each of the 13,598 isomorphism
+    classes of simple graphs on 1..8 vertices."""
+    return list(graph_classes(8))
+
+
+@pytest.fixture(scope="session")
 def equivalence_corpus():
     """Connected loopless multigraphs on at most 6 vertices with 3..9 edges and
     edge multiplicity at most 3, exhaustive up to isomorphism (4,119 graphs)."""

@@ -277,3 +277,45 @@ def unpruned_graph_classes(max_vertices: int) -> list:
         level = [(endpoints, weight) for endpoints, weight, _ in classes]
         out.extend((n, endpoints, weight) for endpoints, weight in level)
     return out
+
+
+def full_class_tally(classes, hypothesis: str) -> dict:
+    """Stage counts of the exhaustive check at every bound, from every
+    ``(graph, labeled_count)`` class, claws and all: bound -> (total,
+    connected, claw-free, k-connected, domination<=k, conclusion), where k
+    is 3 for "thm1" and 2 for "ageev".  Each stage is decided here by
+    networkx or brute force; a graph that passes every hypothesis stage
+    but not the conclusion is missing from the last count."""
+    k = 3 if hypothesis == "thm1" else 2
+    per_n: dict = {}
+    for g, copies in classes:
+        G = to_nx(g)
+        reached = 0
+        if nx.is_connected(G):
+            reached = 1
+            if not any(
+                not (G.has_edge(a, b) or G.has_edge(a, c) or G.has_edge(b, c))
+                for v in G
+                for a, b, c in itertools.combinations(G[v], 3)
+            ):
+                reached = 2
+                if g.n > k and nx.node_connectivity(G) >= k:
+                    reached = 3
+                    if brute_domination_number(g) <= k:
+                        reached = 4
+                        if hypothesis == "thm1":
+                            holds = all(
+                                brute_hamiltonian_path(g, a, b)
+                                for a, b in itertools.combinations(range(g.n), 2)
+                            )
+                        else:
+                            holds = brute_hamiltonian_cycle(g)
+                        reached += holds
+        counts = per_n.setdefault(g.n, [0] * 6)
+        for i in range(reached + 1):
+            counts[i] += copies
+    out, running = {}, [0] * 6
+    for n in sorted(per_n):
+        running = [a + b for a, b in zip(running, per_n[n])]
+        out[n] = tuple(running)
+    return out

@@ -69,6 +69,19 @@ class TestWorkerCount:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestVertexBound:
+    @pytest.mark.parametrize("bound", ["0", "-3", "x"])
+    def test_rejected_at_parse_time(self, bound, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", bound])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+    def test_above_the_claw_free_cap(self, capsys):
+        assert main(["verify", "--n", "11"]) == 2
+        assert capsys.readouterr().err == "error: claw-free enumeration bound capped at 10\n"
+
+
 class TestPendantCount:
     @pytest.mark.parametrize("count", ["0", "-1", "x"])
     def test_rejected_at_parse_time(self, count, capsys):

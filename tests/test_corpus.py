@@ -3,18 +3,20 @@ import random
 import pytest
 
 from hamconn.corpus import (
+    MAX_CLAW_FREE_VERTICES,
     MAX_ENUMERATION_VERTICES,
     connected_graphs_up_to_isomorphism,
     enumerate_labeled,
     enumerate_labeled_upto,
     enumerate_multigraph_corpus,
     graph_classes,
+    labeled_counts,
     random_3_edge_connected_multigraph,
     random_essentially_3ec_multigraph,
 )
 from hamconn.errors import GraphError, LiftFailedError
-from hamconn.invariants import edge_connectivity, is_essentially_k_edge_connected
-from hamconn.multigraph import find_isomorphism
+from hamconn.invariants import edge_connectivity, find_claw, is_essentially_k_edge_connected
+from hamconn.multigraph import SimpleGraph, find_isomorphism
 
 
 class TestEnumeration:
@@ -149,6 +151,52 @@ class TestIsomorphismClasses:
     def test_graph_classes_bound_enforced(self):
         with pytest.raises(GraphError):
             next(graph_classes(MAX_ENUMERATION_VERTICES + 1))
+        with pytest.raises(GraphError, match="claw-free enumeration bound capped at 10"):
+            next(graph_classes(MAX_CLAW_FREE_VERTICES + 1, claw_free=True))
+
+    def test_claw_free_classes_are_the_claw_free_subsequence(self, graph_classes_8):
+        # claw-free parents keep their relative order, so every claw-free
+        # class keeps its representative and labeled count
+        mine = [(g.n, g.endpoints, copies) for g, copies in graph_classes(8, claw_free=True)]
+        full = [(g.n, g.endpoints, copies) for g, copies in graph_classes_8 if find_claw(g) is None]
+        assert mine == full
+        per_n: dict[int, int] = {}
+        for n, _, _ in mine:
+            per_n[n] = per_n.get(n, 0) + 1
+        assert per_n == {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 85, 7: 302, 8: 1285}
+
+    def test_bitmask_claw_test_agrees_with_find_claw(self):
+        # the weight sum cannot see a claw-free orbit wrongly rejected, so
+        # every (claw-free parent, neighbor mask) pair up to 7 vertices is
+        # checked against a claw search on the child
+        from hamconn.corpus import _makes_claw
+
+        pairs = 0
+        for parent, _ in graph_classes(6, claw_free=True):
+            adjacency = parent.adjacency_masks()
+            new = parent.n
+            for mask in range(1 << new):
+                child = SimpleGraph(
+                    new + 1, parent.endpoints + tuple((v, new) for v in range(new) if mask >> v & 1)
+                )
+                assert _makes_claw(adjacency, mask) == (find_claw(child) is not None), (child, mask)
+                pairs += 1
+        assert pairs == 6474
+
+    def test_a_claw_test_that_rejects_nothing_is_caught(self, monkeypatch):
+        monkeypatch.setattr("hamconn.corpus._makes_claw", lambda adjacency, mask: False)
+        with pytest.raises(LiftFailedError, match="11 classes on 4 vertices, not 10"):
+            list(graph_classes(4, claw_free=True))
+
+    def test_closed_form_counts_match_the_class_weights(self, graph_classes_8):
+        totals: dict[int, int] = {}
+        connected: dict[int, int] = {}
+        for g, copies in graph_classes_8:
+            totals[g.n] = totals.get(g.n, 0) + copies
+            connected[g.n] = connected.get(g.n, 0) + copies * g.is_connected()
+        assert {n: labeled_counts(n) for n in range(1, 9)} == {
+            n: (totals[n], connected[n]) for n in range(1, 9)
+        }
 
     def test_representatives_pairwise_nonisomorphic(self):
         reps = [g for g in connected_graphs_up_to_isomorphism(4)]

@@ -37,6 +37,18 @@ class TestVerifyEnumerated:
         assert by_class.stage_counts == labeled.stage_counts
         assert by_class.violations == labeled.violations == ()
 
+    @pytest.mark.parametrize("hypothesis", ["thm1", "ageev"])
+    def test_claw_free_classes_match_the_full_class_tally(self, hypothesis, graph_classes_7):
+        # only the claw-free classes are generated; total and connected are
+        # closed forms, checked here against every class of the full generator
+        from oracles import full_class_tally
+
+        expected = full_class_tally(graph_classes_7, hypothesis)
+        for bound in range(1, 8):
+            report = verify_theorem_enumerated(bound, hypothesis)
+            assert tuple(c for _, c in report.stage_counts) == expected[bound]
+            assert report.violations == ()
+
     def test_violation_counts_its_labeled_copies(self, monkeypatch, tmp_path):
         # Only K4 stays hamiltonian on 4 vertices: C4 (3 labeled copies) and
         # K4 minus an edge (6 copies) become one violation each.
@@ -149,9 +161,9 @@ class TestCounterexampleReport:
         assert report.graph.n == 20
         assert report.demonstrates_sharpness
         # the failing pair really fails, rechecked from scratch
-        from hamconn.harness import verify_hamiltonian_pair_absent
+        from hamconn.trails import hamiltonian_path
 
-        assert verify_hamiltonian_pair_absent(report.graph, report.failing_pair)
+        assert hamiltonian_path(report.graph, *report.failing_pair) is None
 
     @pytest.mark.parametrize("pendants", range(1, 7))
     def test_sharp_for_every_pendant_count(self, pendants):
