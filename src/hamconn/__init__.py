@@ -2,18 +2,10 @@
 claw-free graphs: multigraph cores, dominating trails, line-graph
 preimages, and an exhaustive verification harness."""
 
-from .constructions import (
-    PetersenWitness,
-    identity_petersen_witness,
-    petersen,
-    verify_petersen_witness,
-    wagner,
-    wagner_counterexample,
-)
+from .constructions import petersen, wagner, wagner_counterexample
 from .core import CoreLocation, CoreMap, core, lift_closed_trail, project_vertex
 from .corpus import (
     CorpusRecord,
-    enumerate_labeled,
     enumerate_multigraph_corpus,
     graph_classes,
     read_corpus_file,
@@ -53,7 +45,6 @@ from .invariants import (
 )
 from .linegraph import LineGraphMap, is_line_graph_of_multigraph, line_graph, preimage
 from .multigraph import (
-    ContractionMap,
     Multigraph,
     SimpleGraph,
     complete_graph,
@@ -72,7 +63,6 @@ from .reduction import (
     idt_to_ham_path,
     missing_idt_pair,
     pick_z,
-    pipeline_ham_path,
     project_edge,
     run_pipeline,
 )

@@ -1,4 +1,4 @@
-"""Named graphs and contraction certificates.
+"""Named graphs and the sharpness family.
 
 The Petersen graph is the standard outer-pentagon / inner-pentagram
 construction; the Wagner graph is encoded as the circulant on 8 vertices
@@ -9,11 +9,8 @@ graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .linegraph import line_graph
-from .multigraph import ContractionMap, Multigraph, SimpleGraph, find_isomorphism
+from .multigraph import Multigraph, SimpleGraph
 
 
 def petersen() -> SimpleGraph:
@@ -51,48 +48,3 @@ def wagner_counterexample(pendants_per_vertex: int = 1) -> tuple[SimpleGraph, Mu
     h = Multigraph(n, edges)
     g = line_graph(h).target
     return g, h
-
-
-@dataclass(frozen=True)
-class PetersenWitness:
-    """A contraction onto the Petersen graph certifying the negative branch
-    of the closed-trail dichotomy: the prescribed edge maps onto an edge xy
-    of P and the prescribed vertex set maps onto V(P) minus {x, y}."""
-
-    map: ContractionMap
-    e: int
-    a: frozenset[int]
-
-
-def verify_petersen_witness(w: PetersenWitness) -> tuple[bool, Optional[str]]:
-    """Check every clause of a Petersen witness; returns (ok, reason)."""
-    ok, reason = w.map.validate()
-    if not ok:
-        return False, f"invalid contraction: {reason}"
-    p = petersen()
-    iso = find_isomorphism(w.map.target, p)
-    if iso is None:
-        return False, "contraction target is not the Petersen graph"
-    try:
-        w.map.source.check_edge(w.e)
-    except Exception:
-        return False, "prescribed edge does not exist in the source"
-    if w.e not in w.map.edge_map:
-        return False, "prescribed edge is contracted inside a fiber"
-    tu, tv = w.map.target.endpoints[w.map.edge_map[w.e]]
-    x, y = iso[tu], iso[tv]
-    image = {iso[w.map.vertex_map[v]] for v in w.a}
-    expected = set(range(p.n)) - {x, y}
-    if image != expected:
-        return False, "prescribed vertex set does not map onto V(P) minus the edge ends"
-    return True, None
-
-
-def identity_petersen_witness(e: int) -> PetersenWitness:
-    """The witness for the Petersen graph itself under the identity
-    contraction, paired with edge ``e`` and the eight other vertices."""
-    p = petersen()
-    cmap = p.contract(())
-    x, y = p.endpoints[e]
-    a = frozenset(v for v in range(p.n) if v not in (x, y))
-    return PetersenWitness(cmap, e, a)

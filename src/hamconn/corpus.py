@@ -5,8 +5,7 @@ at 10 for claw-free graphs; anything larger must come from an ingested
 file.  :func:`graph_classes` generates one simple graph per isomorphism
 class (13,598 classes on up to 8 vertices) together with the number of
 labeled graphs in the class, so isomorphism-invariant counts over all
-labeled graphs need one graph per class; :func:`enumerate_labeled` still
-walks the labeled graphs themselves.  The generation is isomorph-free in
+labeled graphs need one graph per class.  The generation is isomorph-free in
 McKay's sense ("Isomorph-free exhaustive generation", J. Algorithms 1998):
 a class on n vertices grows from each class on n - 1 by the neighbor set of
 a new vertex, and only one neighbor set per orbit of the parent's
@@ -89,26 +88,10 @@ _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(MAX_ENUMER
 
 
 def graph_from_edge_mask(n: int, mask: int) -> SimpleGraph:
+    """The graph on ``n`` vertices whose edges are the pairs, in
+    lexicographic order, selected by the bits of ``mask``."""
     pairs = _PAIRS[n]
     return SimpleGraph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
-def enumerate_labeled(n: int) -> Iterator[SimpleGraph]:
-    """Every labeled simple graph on ``n`` vertices exactly once."""
-    if n > MAX_ENUMERATION_VERTICES:
-        raise GraphError(
-            f"labeled enumeration is capped at {MAX_ENUMERATION_VERTICES} vertices; "
-            "ingest an external corpus instead"
-        )
-    if n < 0:
-        raise GraphError("vertex count cannot be negative")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_edge_mask(n, mask)
-
-
-def enumerate_labeled_upto(n: int) -> Iterator[SimpleGraph]:
-    for k in range(1, n + 1):
-        yield from enumerate_labeled(k)
 
 
 def graph_classes(

@@ -196,10 +196,12 @@ def verify_theorem_enumerated(
     representative and that count as ``copies``.  The graphs with a claw
     never pass the claw-free stage, so they are not generated: the
     ``total`` and ``connected`` counts are the closed forms of
-    ``labeled_counts``.  ``bound`` is capped at 10.
+    ``labeled_counts``.  ``bound`` runs from 1 to 10.
     """
     if hypothesis not in HYPOTHESES:
         raise GraphError(f"unknown hypothesis {hypothesis!r}")
+    if bound < 1:
+        raise GraphError(f"vertex bound {bound} is below 1")
     start = time.time()
     items = [(g, copies) for g, copies in graph_classes(bound, claw_free=True) if g.is_connected()]
     counts = [labeled_counts(n) for n in range(1, bound + 1)]

@@ -1,19 +1,18 @@
-"""Immutable multigraph / simple graph model with structural editing.
+"""Immutable multigraph / simple graph model.
 
 Vertices are the dense integers ``0..n-1`` and edges carry dense integer ids
 ``0..m-1``; parallel edges get distinct ids and loops are allowed (a loop
 contributes 2 to the degree of its vertex).  All graphs are immutable after
-construction: editing operations (:meth:`Multigraph.subdivide`,
-:meth:`Multigraph.suppress`, :meth:`Multigraph.contract`) return new graphs
-together with the id renumbering they induced, so callers can track any edge
-or vertex through an edit.
+construction: the one editing operation, :meth:`Multigraph.subdivide`,
+returns a new graph together with the edge renumbering it induced, so
+callers can track any edge through the edit.
 
 Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
 grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
 an allowed vertex set.  :func:`_edge_component` is edge-restricted: it walks
-``incidence()`` while avoiding a blocked edge mask; ``contract``, the
-essential edge cuts and the trail search's reachability prune are all
-calls into it.  ``edge_masks()`` holds each vertex's incident edges as a
+``incidence()`` while avoiding a blocked edge mask; the essential edge cuts
+in ``invariants`` and the trail search's reachability prune in ``trails``
+are its callers.  ``edge_masks()`` holds each vertex's incident edges as a
 bitmask, for the edge-set questions asked next to the walk.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
@@ -178,9 +177,6 @@ class Multigraph:
         pair = (u, v) if u <= v else (v, u)
         return sum(1 for p in self.endpoints if p == pair)
 
-    def loop_count(self, v: int) -> int:
-        return sum(1 for u, w in self.endpoints if u == v and w == v)
-
     # -- structural queries ------------------------------------------------
 
     def is_connected(self) -> bool:
@@ -213,75 +209,6 @@ class Multigraph:
         new_edges.append((v, new_vertex))
         graph = Multigraph(self.n + 1, new_edges)
         return SubdivisionResult(graph, new_vertex, first, second, edge_map)
-
-    def suppress(self, v: int) -> "SuppressionResult":
-        """Remove a degree-2 vertex and merge its two edges into one.
-
-        The merged edge joins the two former neighbors and becomes a loop
-        when they coincide.  Fails for vertices of degree other than 2 and
-        for loop-incident vertices.  Vertex and edge ids are compacted; the
-        returned maps track every surviving id.
-        """
-        self.check_vertex(v)
-        if self.loop_count(v):
-            raise GraphError(f"cannot suppress vertex {v}: it carries a loop")
-        if self.degree(v) != 2:
-            raise GraphError(f"cannot suppress vertex {v}: degree {self.degree(v)} != 2")
-        (e1, w1), (e2, w2) = self.incidence()[v]
-        vertex_map = {}
-        for old in range(self.n):
-            if old != v:
-                vertex_map[old] = len(vertex_map)
-        new_edges = []
-        edge_map = {}
-        for old, (a, b) in enumerate(self.endpoints):
-            if old in (e1, e2):
-                continue
-            edge_map[old] = len(new_edges)
-            new_edges.append((vertex_map[a], vertex_map[b]))
-        merged = len(new_edges)
-        new_edges.append((vertex_map[w1], vertex_map[w2]))
-        graph = Multigraph(self.n - 1, new_edges)
-        return SuppressionResult(graph, merged, vertex_map, edge_map)
-
-    def contract(self, r_edges: Iterable[int]) -> "ContractionMap":
-        """Contract the spanning subgraph with exactly the edges ``r_edges``.
-
-        Each component of that subgraph becomes one target vertex; every
-        source edge between two distinct components contributes its own
-        target edge (so parallel edges survive), while intra-component edges
-        and loops disappear.
-        """
-        r = set(r_edges)
-        for e in r:
-            self.check_edge(e)
-        # Fibers are numbered by their least vertex.
-        inc = self.incidence()
-        blocked = ((1 << len(self.endpoints)) - 1) & ~sum(1 << e for e in r)
-        vertex_map = [0] * self.n
-        fibers = 0
-        left = (1 << self.n) - 1
-        while left:
-            comp = _edge_component(inc, (left & -left).bit_length() - 1, blocked)
-            left &= ~comp
-            while comp:
-                low = comp & -comp
-                comp ^= low
-                vertex_map[low.bit_length() - 1] = fibers
-            fibers += 1
-        target_edges = []
-        edge_map = {}
-        for e, (u, v) in enumerate(self.endpoints):
-            fu, fv = vertex_map[u], vertex_map[v]
-            if fu != fv:
-                edge_map[e] = len(target_edges)
-                target_edges.append((fu, fv))
-        target = Multigraph(fibers, target_edges)
-        cmap = ContractionMap(self, target, tuple(vertex_map), edge_map, frozenset(r))
-        ok, reason = cmap.validate()
-        if not ok:
-            raise GraphError(f"contraction produced an inconsistent map: {reason}")
-        return cmap
 
     # -- equality / hashing (labeled, structural) ---------------------------
 
@@ -338,74 +265,6 @@ class SubdivisionResult:
     first_edge: int
     second_edge: int
     edge_map: dict[int, int]
-
-
-@dataclass(frozen=True)
-class SuppressionResult:
-    graph: Multigraph
-    merged_edge: int
-    vertex_map: dict[int, int]
-    edge_map: dict[int, int]
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """Certificate that ``target`` is ``source`` contracted along ``r_edges``.
-
-    ``vertex_map`` sends each source vertex to its fiber's target vertex;
-    ``edge_map`` is defined exactly on the source edges joining two distinct
-    fibers and is a bijection onto the target edges.
-    """
-
-    source: Multigraph
-    target: Multigraph
-    vertex_map: tuple[int, ...]
-    edge_map: dict[int, int]
-    r_edges: frozenset[int]
-
-    def validate(self) -> tuple[bool, Optional[str]]:
-        src, tgt = self.source, self.target
-        if len(self.vertex_map) != src.n:
-            return False, "vertex_map size mismatch"
-        if any(not (0 <= t < tgt.n) for t in self.vertex_map):
-            return False, "vertex_map leaves target range"
-        if set(self.vertex_map) != set(range(tgt.n)):
-            return False, "vertex_map not surjective"
-        # Fibers must be the components of the spanning subgraph on r_edges.
-        fibers: dict[int, set[int]] = {}
-        for v, t in enumerate(self.vertex_map):
-            fibers.setdefault(t, set()).add(v)
-        for t, fiber in fibers.items():
-            start = next(iter(fiber))
-            seen = {start}
-            stack = [start]
-            inc = src.incidence()
-            while stack:
-                x = stack.pop()
-                for e, w in inc[x]:
-                    if e in self.r_edges and w in fiber and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != fiber:
-                return False, f"fiber of target vertex {t} is not connected via r_edges"
-        for e in self.r_edges:
-            u, v = src.endpoints[e]
-            if self.vertex_map[u] != self.vertex_map[v]:
-                return False, f"r_edge {e} joins two distinct fibers"
-        # Inter-fiber edges map bijectively onto target edges, respecting endpoints.
-        expected = {}
-        for e, (u, v) in enumerate(src.endpoints):
-            fu, fv = self.vertex_map[u], self.vertex_map[v]
-            if fu != fv:
-                expected[e] = (fu, fv) if fu <= fv else (fv, fu)
-        if set(expected) != set(self.edge_map):
-            return False, "edge_map domain is not the set of inter-fiber edges"
-        if sorted(self.edge_map.values()) != list(range(tgt.edge_count)):
-            return False, "edge_map is not a bijection onto target edges"
-        for e, te in self.edge_map.items():
-            if tgt.endpoints[te] != expected[e]:
-                return False, f"edge {e} maps to target edge with wrong endpoints"
-        return True, None
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -48,7 +48,7 @@ from .errors import (
 from .invariants import DominatingSet, edge_connectivity, edges_dominate
 from .linegraph import LineGraphMap, line_graph, preimage
 from .multigraph import Multigraph, SimpleGraph
-from .trails import IdtWitness, Trail, find_closed_trail_through, find_idt
+from .trails import IdtWitness, Trail, _check_order, find_closed_trail_through, find_idt
 
 
 # -- edge projection -----------------------------------------------------------
@@ -409,7 +409,14 @@ def _direct_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
 def run_pipeline(
     g: SimpleGraph, u: int, v: int, dominating: DominatingSet
 ) -> PipelineRun:
-    """The reduction pipeline with all intermediate artifacts exposed."""
+    """The reduction pipeline with all intermediate artifacts exposed; its
+    ``path`` is a validated hamiltonian u-v path of ``g``.
+
+    Raises stage-tagged errors: ``NotALineGraphOfMultigraphError``,
+    ``DegenerateCoreError``, ``NotEssentially3EdgeConnectedError``,
+    ``TrailNotFoundError``, and ``LiftFailedError`` for internal validation
+    failures.
+    """
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
@@ -451,28 +458,8 @@ def run_pipeline(
     return PipelineRun(g, h, witness, path, ctx)
 
 
-def pipeline_ham_path(
-    g: SimpleGraph, u: int, v: int, dominating: DominatingSet
-) -> Trail:
-    """A validated hamiltonian u-v path of ``g`` built by the reduction.
-
-    Raises stage-tagged errors: ``NotALineGraphOfMultigraphError``,
-    ``DegenerateCoreError``, ``NotEssentially3EdgeConnectedError``,
-    ``TrailNotFoundError``, and ``LiftFailedError`` for internal validation
-    failures.
-    """
-    return run_pipeline(g, u, v, dominating).path
-
-
 def _check_ham_path(g: SimpleGraph, path: Trail, u: int, v: int) -> None:
-    """Revalidate a hamiltonian path independently of how it was built."""
+    """Revalidate a hamiltonian u-v path independently of how it was built."""
     if path.vertices[0] != u or path.vertices[-1] != v:
-        if path.vertices[0] == v and path.vertices[-1] == u:
-            pass
-        else:
-            raise LiftFailedError("path endpoints are wrong")
-    if len(path.vertices) != g.n or len(set(path.vertices)) != g.n:
-        raise LiftFailedError("path does not visit every vertex exactly once")
-    for i in range(len(path.vertices) - 1):
-        if not g.has_edge(path.vertices[i], path.vertices[i + 1]):
-            raise LiftFailedError("path uses a non-edge")
+        raise LiftFailedError("path endpoints are wrong")
+    _check_order(g.adjacency_masks(), path.vertices)

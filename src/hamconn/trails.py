@@ -283,10 +283,10 @@ def find_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
 def _check_order(masks: Sequence[int], order: Sequence[int]) -> None:
     """Raise unless ``order`` lists every vertex once and steps along edges."""
     if sorted(order) != list(range(len(masks))):
-        raise LiftFailedError(f"hamiltonian search returned a non-permutation {order}")
+        raise LiftFailedError(f"hamiltonian order {order} is not a permutation of the vertices")
     for u, v in zip(order, order[1:]):
         if not masks[u] >> v & 1:
-            raise LiftFailedError(f"hamiltonian search stepped along a non-edge ({u}, {v})")
+            raise LiftFailedError(f"hamiltonian order steps along a non-edge ({u}, {v})")
 
 
 def _hamiltonian_order(
@@ -384,7 +384,12 @@ def _hamiltonian_order(
     return order if found else None
 
 
-def _order_trail(g: SimpleGraph, order: Sequence[int]) -> Trail:
+def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) -> Trail:
+    """The hamiltonian path along ``order``, checked; with ``closed``, the
+    cycle that steps back to ``order[0]`` at the end."""
+    _check_order(g.adjacency_masks(), order)
+    if closed:
+        order = [*order, order[0]]
     edges = tuple(g.edge_id(u, v) for u, v in zip(order, order[1:]))
     trail = Trail(g, tuple(order), edges)
     trail.validate()
@@ -434,7 +439,7 @@ def find_hamiltonian_cycle(g: SimpleGraph) -> Optional[Trail]:
     if not g.is_connected():
         return None
     order = _hamiltonian_order(g, 0, g.adjacency_masks()[0])
-    return None if order is None else _order_trail(g, order + [0])
+    return None if order is None else _order_trail(g, order, closed=True)
 
 
 def is_hamiltonian(g: SimpleGraph) -> bool:

@@ -8,6 +8,8 @@ import itertools
 
 import networkx as nx
 
+from hamconn.corpus import MAX_ENUMERATION_VERTICES, graph_from_edge_mask
+from hamconn.errors import GraphError
 from hamconn.multigraph import Multigraph, SimpleGraph
 
 
@@ -238,14 +240,18 @@ def pairwise_line_graph_edges(h: Multigraph) -> list:
     ]
 
 
-def nx_contraction_vertex_map(h: Multigraph, r_edges) -> tuple:
-    """Vertex -> index of its component in the spanning subgraph on
-    ``r_edges``, components numbered in order of their least vertex."""
-    keep = set(r_edges)
-    sub = _nx_keyed(h, set(range(h.edge_count)) - keep)
-    comps = sorted(nx.connected_components(sub), key=min)
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    return tuple(index[v] for v in range(h.n))
+def enumerate_labeled(n: int):
+    """Every labeled simple graph on ``n`` vertices exactly once, by edge
+    mask; capped where ``graph_from_edge_mask`` is."""
+    if not 0 <= n <= MAX_ENUMERATION_VERTICES:
+        raise GraphError(f"labeled enumeration runs from 0 to {MAX_ENUMERATION_VERTICES} vertices")
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield graph_from_edge_mask(n, mask)
+
+
+def enumerate_labeled_upto(n: int):
+    for k in range(1, n + 1):
+        yield from enumerate_labeled(k)
 
 
 def unpruned_graph_classes(max_vertices: int) -> list:

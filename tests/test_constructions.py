@@ -1,13 +1,6 @@
 import pytest
 
-from hamconn.constructions import (
-    PetersenWitness,
-    identity_petersen_witness,
-    petersen,
-    verify_petersen_witness,
-    wagner,
-    wagner_counterexample,
-)
+from hamconn.constructions import petersen, wagner, wagner_counterexample
 from hamconn.invariants import is_claw_free, vertex_connectivity
 from hamconn.multigraph import SimpleGraph, isomorphic
 from hamconn.trails import is_hamiltonian
@@ -76,46 +69,3 @@ class TestCounterexample:
     def test_rejects_zero_pendants(self):
         with pytest.raises(ValueError):
             wagner_counterexample(0)
-
-
-class TestPetersenWitness:
-    def test_identity_witness_verifies(self):
-        w = identity_petersen_witness(0)
-        ok, reason = verify_petersen_witness(w)
-        assert ok, reason
-
-    def test_wrong_vertex_set_rejected(self):
-        p = petersen()
-        cmap = p.contract(())
-        x, y = p.endpoints[0]
-        short = frozenset(list(v for v in range(10) if v not in (x, y))[:7])
-        ok, reason = verify_petersen_witness(PetersenWitness(cmap, 0, short))
-        assert not ok and "vertex set" in reason
-
-    def test_non_petersen_target_rejected(self, k4):
-        cmap = k4.contract(())
-        ok, reason = verify_petersen_witness(PetersenWitness(cmap, 0, frozenset({2, 3})))
-        assert not ok and "Petersen" in reason
-
-    def test_contracted_edge_rejected(self):
-        p = petersen()
-        cmap = p.contract([0])
-        ok, reason = verify_petersen_witness(
-            PetersenWitness(cmap, 0, frozenset(range(2, 10)))
-        )
-        assert not ok
-
-    def test_tampered_fiber_rejected(self):
-        p = petersen()
-        cmap = p.contract(())
-        bad = type(cmap)(
-            cmap.source,
-            cmap.target,
-            tuple([1, 0] + list(range(2, 10))),
-            cmap.edge_map,
-            cmap.r_edges,
-        )
-        ok, reason = verify_petersen_witness(
-            PetersenWitness(bad, 0, frozenset(range(2, 10)))
-        )
-        assert not ok

@@ -6,8 +6,6 @@ from hamconn.corpus import (
     MAX_CLAW_FREE_VERTICES,
     MAX_ENUMERATION_VERTICES,
     connected_graphs_up_to_isomorphism,
-    enumerate_labeled,
-    enumerate_labeled_upto,
     enumerate_multigraph_corpus,
     graph_classes,
     labeled_counts,
@@ -17,6 +15,8 @@ from hamconn.corpus import (
 from hamconn.errors import GraphError, LiftFailedError
 from hamconn.invariants import edge_connectivity, find_claw, is_essentially_k_edge_connected
 from hamconn.multigraph import SimpleGraph, find_isomorphism
+
+from oracles import enumerate_labeled, enumerate_labeled_upto
 
 
 class TestEnumeration:

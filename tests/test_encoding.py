@@ -129,7 +129,7 @@ class TestEdgeList:
     def test_comments_and_multiedges(self):
         text = "# fixture\n3 3\n0 1\n0 1\n2 2\n"
         h = decode_edgelist(text)
-        assert h.multiplicity(0, 1) == 2 and h.loop_count(2) == 1
+        assert h.multiplicity(0, 1) == 2 and h.multiplicity(2, 2) == 1
 
     def test_roundtrip_random(self):
         rng = random.Random(45)

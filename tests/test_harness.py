@@ -1,5 +1,6 @@
 import pytest
 
+from hamconn.errors import GraphError
 from hamconn.harness import (
     VerificationReport,
     counterexample_report,
@@ -10,6 +11,8 @@ from hamconn.harness import (
 )
 from hamconn.multigraph import cycle_graph
 
+from oracles import enumerate_labeled_upto
+
 
 class TestVerifyEnumerated:
     def test_small_bound_zero_violations_thm1(self):
@@ -17,6 +20,11 @@ class TestVerifyEnumerated:
         assert report.passed
         assert report.check_monotone()
         assert dict(report.stage_counts)["total"] == 1 + 2 + 8 + 64 + 1024
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(GraphError):
+            verify_theorem_enumerated(bound, "thm1")
 
     def test_small_bound_zero_violations_ageev(self):
         report = verify_theorem_enumerated(5, "ageev")
@@ -30,8 +38,6 @@ class TestVerifyEnumerated:
 
     @pytest.mark.parametrize("hypothesis", ["thm1", "ageev"])
     def test_classes_match_the_labeled_scan(self, hypothesis):
-        from hamconn.corpus import enumerate_labeled_upto
-
         by_class = verify_theorem_enumerated(6, hypothesis)
         labeled = verify_theorem_graphs(enumerate_labeled_upto(6), hypothesis)
         assert by_class.stage_counts == labeled.stage_counts
@@ -53,7 +59,6 @@ class TestVerifyEnumerated:
         # Only K4 stays hamiltonian on 4 vertices: C4 (3 labeled copies) and
         # K4 minus an edge (6 copies) become one violation each.
         import hamconn.harness as harness
-        from hamconn.corpus import enumerate_labeled_upto
 
         real = harness.is_hamiltonian
         monkeypatch.setattr(

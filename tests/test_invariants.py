@@ -4,7 +4,6 @@ import random
 import pytest
 
 from hamconn.corpus import (
-    enumerate_labeled,
     random_connected_multigraph_with_loops,
     random_multigraph,
 )
@@ -32,7 +31,13 @@ from hamconn.multigraph import (
     star_graph,
 )
 
-from oracles import brute_dominating_sets, brute_domination_number, nx_essential_cut, to_nx
+from oracles import (
+    brute_dominating_sets,
+    brute_domination_number,
+    enumerate_labeled,
+    nx_essential_cut,
+    to_nx,
+)
 
 import networkx as nx
 
@@ -207,7 +212,6 @@ class TestEssentialEdgeConnectivity:
 class TestHamiltonianConnectedNeedsConnectivity3:
     def test_over_small_corpus(self):
         # hamiltonian-connected graphs on >= 4 vertices are 3-connected
-        from hamconn.corpus import enumerate_labeled
         from hamconn.trails import is_hamiltonian_connected
 
         for g in enumerate_labeled(5):

@@ -15,7 +15,6 @@ from hamconn.reduction import (
     idt_to_ham_path,
     missing_idt_pair,
     pick_z,
-    pipeline_ham_path,
     project_edge,
     run_pipeline,
 )
@@ -197,13 +196,23 @@ class TestMissingIdtPair:
             missing_idt_pair(line_graph(Multigraph(3, [(0, 1), (1, 2)])))
 
 
+class TestCheckHamPath:
+    def test_only_a_hamiltonian_u_v_path_passes(self, k4):
+        path = hamiltonian_path(k4, 0, 3)
+        reduction._check_ham_path(k4, path, 0, 3)
+        with pytest.raises(LiftFailedError):
+            reduction._check_ham_path(k4, path.reversed(), 0, 3)
+        with pytest.raises(LiftFailedError):
+            reduction._check_ham_path(k4, Trail(k4, (0, 3), (k4.edge_id(0, 3),)), 0, 3)
+
+
 class TestPipeline:
     def _check_all_pairs(self, g, d=None):
         if d is None:
             d = dominating_set(g, 3)
         assert d is not None
         for u, v in itertools.combinations(range(g.n), 2):
-            path = pipeline_ham_path(g, u, v, d)
+            path = run_pipeline(g, u, v, d).path
             assert path.vertices[0] == u and path.vertices[-1] == v
             assert len(set(path.vertices)) == g.n
             for i in range(len(path.vertices) - 1):
@@ -232,17 +241,17 @@ class TestPipeline:
 
     def test_claw_rejected(self, claw):
         with pytest.raises(NotALineGraphOfMultigraphError):
-            pipeline_ham_path(claw, 0, 1, DominatingSet(frozenset({0}), claw))
+            run_pipeline(claw, 0, 1, DominatingSet(frozenset({0}), claw))
 
     def test_same_endpoints_rejected(self, k4):
         g = line_graph(k4).target
         with pytest.raises(GraphError):
-            pipeline_ham_path(g, 1, 1, dominating_set(g, 2))
+            run_pipeline(g, 1, 1, dominating_set(g, 2))
 
     def test_non_dominating_set_rejected(self, k4):
         g = line_graph(k4).target
         with pytest.raises(GraphError):
-            pipeline_ham_path(g, 0, 1, DominatingSet(frozenset({0}), g))
+            run_pipeline(g, 0, 1, DominatingSet(frozenset({0}), g))
 
     def test_stage_artifacts_exposed(self, k4_with_pendants):
         g = line_graph(k4_with_pendants).target
@@ -257,7 +266,7 @@ class TestPipeline:
     def test_path_revalidates_independently(self, k4_with_pendants):
         g = line_graph(k4_with_pendants).target
         d = dominating_set(g, 3)
-        path = pipeline_ham_path(g, 2, 7, d)
+        path = run_pipeline(g, 2, 7, d).path
         assert hamiltonian_path(g, 2, 7) is not None  # cross-check searcher agrees
 
     def test_interior_dominates_source_edges(self, k4_with_pendants):
@@ -294,5 +303,5 @@ class TestPipelineRandomized:
             pairs = list(itertools.combinations(range(g.n), 2))
             rng.shuffle(pairs)
             for u, v in pairs[:6]:
-                path = pipeline_ham_path(g, u, v, d)
+                path = run_pipeline(g, u, v, d).path
                 assert len(set(path.vertices)) == g.n

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from hamconn import trails
 from hamconn.corpus import (
     enumerate_multigraph_corpus,
     random_3_edge_connected_multigraph,
     random_multigraph,
 )
-from hamconn.errors import GraphError
+from hamconn.errors import GraphError, LiftFailedError
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph, cycle_graph
 from hamconn.trails import (
@@ -208,6 +209,12 @@ class TestHamiltonianPath:
         with pytest.raises(GraphError):
             hamiltonian_path(k4, 1, 1)
 
+    def test_order_that_skips_a_vertex_is_refused(self, k4, monkeypatch):
+        # [0, 1, 2] steps along edges of K4 but never visits 3
+        monkeypatch.setattr(trails, "_hamiltonian_order", lambda *_, **__: [0, 1, 2])
+        with pytest.raises(LiftFailedError):
+            hamiltonian_path(k4, 0, 2)
+
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(19)
         for _ in range(100):
@@ -249,6 +256,12 @@ class TestHamiltonian:
     def test_small_rejected(self):
         with pytest.raises(GraphError):
             is_hamiltonian(complete_graph(2))
+
+    def test_order_that_skips_a_vertex_is_refused(self, k4, monkeypatch):
+        # closing [0, 1, 2] gives a triangle of K4, not a spanning cycle
+        monkeypatch.setattr(trails, "_hamiltonian_order", lambda *_, **__: [0, 1, 2])
+        with pytest.raises(LiftFailedError):
+            find_hamiltonian_cycle(k4)
 
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(20)
