@@ -3,8 +3,11 @@
 ``core`` records a full back-mapping so that trails found in the core can be
 lifted to the original graph: every core edge expands to an edge-disjoint
 path of original edges, every original non-pendant edge lies in exactly one
-expansion, and each suppressed vertex remembers the core edge whose
-expansion swallowed it.
+expansion, each stripped pendant edge remembers the vertex it hung from, and
+each suppressed vertex remembers the core edge whose expansion swallowed it.
+It is a decomposition only: whether the input is essentially
+3-edge-connected, and so whether the core is 3-edge-connected, is for the
+caller to check.
 
 After pendant stripping, the core vertices are the vertices of 2-core degree
 3 or more.  From each of them, every unused incident edge starts a walk
@@ -28,9 +31,8 @@ from .errors import (
     DisconnectedGraphError,
     LiftFailedError,
     NoCoreLocationError,
-    NotEssentially3EdgeConnectedError,
 )
-from .invariants import edge_connectivity, find_essential_cut, vertices_dominate_edges
+from .invariants import vertices_dominate_edges
 from .multigraph import Multigraph
 from .trails import Trail
 
@@ -51,12 +53,14 @@ class CoreMap:
     edge ``ce`` contracts; ``expansion_paths[ce]`` gives the matching
     original vertex path, oriented so its first vertex maps to the lower
     core endpoint (for a loop, so its first edge is the smaller end edge).
-    ``edge_owner[e]`` is the core edge whose expansion contains ``e``.
+    ``edge_owner[e]`` is the core edge whose expansion contains ``e``, and
+    ``pendant_support[e]`` is, for a stripped pendant edge ``e``, the end of
+    ``e`` that remained when it was stripped.
     """
 
     original: Multigraph
     core: Multigraph
-    removed_pendants: frozenset[int]
+    pendant_support: dict[int, int]
     vertex_image: dict[int, int]
     core_vertex_origin: tuple[int, ...]
     edge_expansion: dict[int, tuple[int, ...]]
@@ -90,24 +94,19 @@ class CoreMap:
         # mean the expansions are edge-disjoint and own nothing else.
         if len(self.edge_owner) != owned:
             raise LiftFailedError("expansions are not edge-disjoint")
-        seen = set(self.edge_owner)
-        if seen | self.removed_pendants != set(range(h.edge_count)) or (
-            seen & self.removed_pendants
+        pendants = self.pendant_support.keys()
+        if self.edge_owner.keys() | pendants != set(range(h.edge_count)) or (
+            self.edge_owner.keys() & pendants
         ):
             raise LiftFailedError("edge accounting failed: expansions + pendants != all edges")
 
 
-def core(
-    h: Multigraph, *, rng: Optional[random.Random] = None, check: bool = True
-) -> CoreMap:
+def core(h: Multigraph, *, rng: Optional[random.Random] = None) -> CoreMap:
     """Remove pendant edges to a fixed point, then suppress every degree-2
     vertex, recording the full back-mapping.
 
     ``rng`` shuffles the processing order (the result must not depend on it;
-    this exists so order-independence is testable).  With ``check`` the input
-    must be essentially 3-edge-connected and the resulting core is asserted
-    3-edge-connected; ``check=False`` computes the same decomposition without
-    those guarantees.
+    this exists so order-independence is testable).
     """
     if not h.is_connected():
         raise DisconnectedGraphError("core is defined for connected multigraphs")
@@ -120,7 +119,7 @@ def core(
 
     # Phase 1: iterated pendant-edge removal (the 2-core of the graph).
     alive_edges = set(range(h.edge_count))
-    removed: set[int] = set()
+    pendant_support: dict[int, int] = {}
     degrees = list(h.degrees())
     inc = h.incidence()
     changed = True
@@ -133,7 +132,7 @@ def core(
                 (e, w) for e, w in inc[v] if e in alive_edges
             )
             alive_edges.discard(e)
-            removed.add(e)
+            pendant_support[e] = w
             degrees[v] -= 1
             degrees[w] -= 1
             changed = True
@@ -147,12 +146,6 @@ def core(
             f"core collapsed to {len(core_vertices)} vertices; "
             "the input has no vertex of degree 3 or more after pendant removal"
         )
-    if check:
-        cut = find_essential_cut(h, 3)
-        if cut is not None:
-            raise NotEssentially3EdgeConnectedError(
-                f"essential edge-cut of size {len(cut)} found", cut=cut
-            )
     vertex_image = {v: i for i, v in enumerate(core_vertices)}
     threads = []
     for s in ordered(core_vertices):
@@ -191,7 +184,7 @@ def core(
     cm = CoreMap(
         original=h,
         core=core_graph,
-        removed_pendants=frozenset(removed),
+        pendant_support=pendant_support,
         vertex_image=vertex_image,
         core_vertex_origin=tuple(core_vertices),
         edge_expansion=edge_expansion,
@@ -200,10 +193,6 @@ def core(
         edge_owner=edge_owner,
     )
     cm.validate()
-    if check and edge_connectivity(core_graph) < 3:
-        raise LiftFailedError(
-            "core of an essentially 3-edge-connected multigraph must be 3-edge-connected"
-        )
     return cm
 
 

@@ -292,34 +292,20 @@ def enumerate_multigraph_corpus(
 # -- random generators -----------------------------------------------------------------
 
 
-def random_multigraph(
-    rng: random.Random,
-    max_vertices: int = 8,
-    max_edges: int = 12,
-    *,
-    allow_loops: bool = False,
-    connected: bool = True,
-) -> Multigraph:
-    """A random multigraph; retries until connectivity holds when asked."""
+def random_multigraph(rng: random.Random, max_vertices: int = 8, max_edges: int = 12) -> Multigraph:
+    """A random connected loopless multigraph with at least one edge; other
+    draws are discarded."""
     while True:
         n = rng.randint(1, max_vertices)
         m = rng.randint(1, max_edges)
         edges = []
         for _ in range(m):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if not allow_loops:
-                while v == u:
-                    if n == 1:
-                        break
-                    v = rng.randrange(n)
-                if n == 1:
-                    continue
-            edges.append((u, v))
-        if not edges:
-            continue
-        h = Multigraph(n, edges)
-        if not connected or h.is_connected():
+            u, v = rng.randrange(n), rng.randrange(n)
+            while v == u and n > 1:
+                v = rng.randrange(n)
+            if u != v:
+                edges.append((u, v))
+        if edges and (h := Multigraph(n, edges)).is_connected():
             return h
 
 

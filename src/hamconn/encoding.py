@@ -47,14 +47,30 @@ def _decode_n(data: list[int]) -> tuple[int, list[int]]:
     return n, data[8:]
 
 
-def _chars_to_data(text: str) -> list[int]:
+def _pack(n: int, bits: list[int]) -> str:
+    """The six-bit text of vertex count ``n`` followed by ``bits``, six bits
+    per character, most significant first; a short last group is padded
+    with zeros."""
+    bits = bits + [0] * (-len(bits) % 6)
+    data = _encode_n(n)
+    for i in range(0, len(bits), 6):
+        word = 0
+        for b in bits[i : i + 6]:
+            word = (word << 1) | b
+        data.append(word)
+    return "".join(chr(d + 63) for d in data)
+
+
+def _unpack(text: str) -> tuple[int, list[int]]:
+    """The inverse of ``_pack``: the vertex count and the body's bits."""
     data = []
     for ch in text:
         value = ord(ch) - 63
         if not (0 <= value <= 63):
             raise EncodingError(f"character {ch!r} outside the six-bit range")
         data.append(value)
-    return data
+    n, body = _decode_n(data)
+    return n, [(word >> shift) & 1 for word in body for shift in range(5, -1, -1)]
 
 
 # -- graph6 -----------------------------------------------------------------------
@@ -63,19 +79,7 @@ def _chars_to_data(text: str) -> list[int]:
 def encode_graph6(g: SimpleGraph) -> str:
     """The graph6 line for a simple graph (no trailing newline)."""
     masks = g.adjacency_masks()
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append((masks[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    data = _encode_n(g.n)
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        data.append(word)
-    return "".join(chr(d + 63) for d in data)
+    return _pack(g.n, [(masks[i] >> j) & 1 for j in range(1, g.n) for i in range(j)])
 
 
 def decode_graph6(line: str) -> SimpleGraph:
@@ -85,14 +89,10 @@ def decode_graph6(line: str) -> SimpleGraph:
         text = text[len(">>graph6<<") :]
     if text.startswith(":"):
         raise EncodingError("sparse6 data passed to the graph6 decoder")
-    n, data = _decode_n(_chars_to_data(text))
+    n, bits = _unpack(text)
     need = n * (n - 1) // 2
-    if len(data) != (need + 5) // 6:
-        raise EncodingError(f"graph6 body has {len(data)} words, expected {(need + 5) // 6}")
-    bits = []
-    for word in data:
-        for shift in range(5, -1, -1):
-            bits.append((word >> shift) & 1)
+    if len(bits) != 6 * ((need + 5) // 6):
+        raise EncodingError(f"graph6 body has {len(bits) // 6} words, expected {(need + 5) // 6}")
     if any(bits[need:]):
         raise EncodingError("nonzero padding bits in graph6 data")
     edges = []
@@ -147,13 +147,7 @@ def encode_sparse6(h: Multigraph) -> str:
         bits.append(0)
         pad = (-len(bits)) % 6
     bits.extend([1] * pad)
-    data = _encode_n(n)
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        data.append(word)
-    return ":" + "".join(chr(d + 63) for d in data)
+    return ":" + _pack(n, bits)
 
 
 def decode_sparse6(line: str) -> Multigraph:
@@ -163,12 +157,8 @@ def decode_sparse6(line: str) -> Multigraph:
         text = text[len(">>sparse6<<") :]
     if not text.startswith(":"):
         raise EncodingError("sparse6 data must start with ':'")
-    n, data = _decode_n(_chars_to_data(text[1:]))
+    n, bits = _unpack(text[1:])
     k = _sparse6_k(n)
-    bits = []
-    for word in data:
-        for shift in range(5, -1, -1):
-            bits.append((word >> shift) & 1)
     edges = []
     v = 0
     pos = 0

@@ -4,8 +4,9 @@ Vertices are the dense integers ``0..n-1`` and edges carry dense integer ids
 ``0..m-1``; parallel edges get distinct ids and loops are allowed (a loop
 contributes 2 to the degree of its vertex).  All graphs are immutable after
 construction: the one editing operation, :meth:`Multigraph.subdivide`,
-returns a new graph together with the edge renumbering it induced, so
-callers can track any edge through the edit.
+returns a new graph that keeps every edge id (the subdivided edge's id
+goes to its half at the smaller end), so callers can track any edge through
+the edit.
 
 Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
 grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
@@ -26,7 +27,6 @@ so the class generator in ``corpus`` gets each parent's group for free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
@@ -184,31 +184,22 @@ class Multigraph:
         full = (1 << self.n) - 1
         return _bit_component(self.adjacency_masks(), 1, full) == full
 
-    # -- editing (each returns a new graph plus renumbering maps) -----------
+    # -- editing -----------------------------------------------------------
 
-    def subdivide(self, e: int) -> "SubdivisionResult":
+    def subdivide(self, e: int) -> "Multigraph":
         """Replace edge ``e`` by a path of two edges through a new vertex.
 
-        Subdividing a loop yields two parallel edges between the loop vertex
-        and the new vertex.  Edge ids are compacted; the returned
-        ``edge_map`` sends every surviving old id to its new id.
+        The new vertex is ``n``.  Edge ``e`` becomes the half at its smaller
+        end, the half at the other end is appended as edge ``m``, and every
+        other edge keeps its id.  Subdividing a loop yields two parallel
+        edges between the loop vertex and the new vertex.
         """
         self.check_edge(e)
         u, v = self.endpoints[e]
-        new_vertex = self.n
-        new_edges = []
-        edge_map = {}
-        for old, pair in enumerate(self.endpoints):
-            if old == e:
-                continue
-            edge_map[old] = len(new_edges)
-            new_edges.append(pair)
-        first = len(new_edges)
-        new_edges.append((u, new_vertex))
-        second = len(new_edges)
-        new_edges.append((v, new_vertex))
-        graph = Multigraph(self.n + 1, new_edges)
-        return SubdivisionResult(graph, new_vertex, first, second, edge_map)
+        edges = list(self.endpoints)
+        edges[e] = (u, self.n)
+        edges.append((v, self.n))
+        return Multigraph(self.n + 1, edges)
 
     # -- equality / hashing (labeled, structural) ---------------------------
 
@@ -256,15 +247,6 @@ class SimpleGraph(Multigraph):
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
-
-
-@dataclass(frozen=True)
-class SubdivisionResult:
-    graph: Multigraph
-    new_vertex: int
-    first_edge: int
-    second_edge: int
-    edge_map: dict[int, int]
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -4,15 +4,14 @@ The pipeline realizes the reduction that proves hamiltonian connectivity
 for 3-connected claw-free line graphs with small domination number:
 
 1. take the multigraph preimage H of the input line graph g;
-2. compute the core of H and project the two terminal edges onto core
-   edges;
-3. build ``h_n`` (the core, or the core with both projected edges
-   subdivided and the subdivision vertices joined by a new edge);
-   with m core edges and n core vertices, edges ``0..m-1`` keep their
-   core ids (a subdivided edge's id goes to its half at the smaller end),
-   ``m`` and ``m + 1`` are the other halves of the first and second
-   projected edges, and ``e_n = m + 2`` joins the new vertices ``n`` and
-   ``n + 1``;
+2. compute the core of H, check that H is essentially 3-edge-connected
+   and the core 3-edge-connected, and project the two terminal edges onto
+   core edges;
+3. build ``h_n``: the core when both project to one edge, else the core
+   with the first projected edge subdivided, then the second, and the two
+   new vertices ``n`` and ``n + 1`` joined by ``e_n = m + 2`` (n core
+   vertices, m core edges); ``Multigraph.subdivide`` keeps every core
+   edge id and appends the far halves as ``m`` and ``m + 1``;
 4. project the dominating triple the same way and collect the at most six
    endpoints ``z`` of the projected edges;
 5. find a closed trail of ``h_n`` through the new edge visiting ``z``;
@@ -43,26 +42,16 @@ from .errors import (
     GraphError,
     LiftFailedError,
     NoCoreLocationError,
+    NotEssentially3EdgeConnectedError,
     TrailNotFoundError,
 )
-from .invariants import DominatingSet, edge_connectivity, edges_dominate
+from .invariants import DominatingSet, edge_connectivity, edges_dominate, find_essential_cut
 from .linegraph import LineGraphMap, line_graph, preimage
 from .multigraph import Multigraph, SimpleGraph
 from .trails import IdtWitness, Trail, _check_order, find_closed_trail_through, find_idt
 
 
 # -- edge projection -----------------------------------------------------------
-
-
-def _pendant_ends(cm: CoreMap, e: int) -> tuple[int, int]:
-    """(leaf, support) of a removed pendant edge, by original degree."""
-    u, v = cm.original.endpoints[e]
-    du, dv = cm.original.degree(u), cm.original.degree(v)
-    if du == dv:
-        raise NoCoreLocationError(
-            f"pendant edge {e} joins two vertices of equal degree; no support vertex"
-        )
-    return (u, v) if du < dv else (v, u)
 
 
 def project_edge(cm: CoreMap, e: int) -> int:
@@ -76,10 +65,9 @@ def project_edge(cm: CoreMap, e: int) -> int:
     cm.original.check_edge(e)
     if e in cm.edge_owner:
         return cm.edge_owner[e]
-    if e not in cm.removed_pendants:
+    if e not in cm.pendant_support:
         raise LiftFailedError(f"edge {e} is neither expanded nor pendant")
-    _, support = _pendant_ends(cm, e)
-    loc = project_vertex(cm, support)
+    loc = project_vertex(cm, cm.pendant_support[e])
     if loc.kind == "edge":
         return loc.index
     for ce, _ in sorted(cm.core.incidence()[loc.index]):
@@ -93,18 +81,11 @@ def project_edge(cm: CoreMap, e: int) -> int:
 
 @dataclass(frozen=True)
 class HnConstruction:
-    """The trail-search host ``h_n`` plus maps back to the core.
-
-    ``subdivided`` maps each subdivided core edge to its new vertex.
-    ``edge_origin[e]`` tags every ``h_n`` edge as ``("core", ce)`` for an
-    unsubdivided core edge, ``("half", ce, outer_vertex)`` for one half of a
-    subdivided edge, or ``("new",)`` for the joining edge.
-    """
+    """The trail-search host ``h_n`` and its prescribed edge ``e_n``, numbered
+    as in step 3 of the module docstring."""
 
     graph: Multigraph
     e_n: int
-    subdivided: dict[int, int]
-    edge_origin: dict[int, tuple]
 
 
 def build_hn(cm: CoreMap, e0_1: int, e0_2: int) -> HnConstruction:
@@ -117,23 +98,11 @@ def build_hn(cm: CoreMap, e0_1: int, e0_2: int) -> HnConstruction:
     c.check_edge(e0_1)
     c.check_edge(e0_2)
     if e0_1 == e0_2:
-        origin = {e: ("core", e) for e in range(c.edge_count)}
-        hn = HnConstruction(c, e0_1, {}, origin)
+        hn = HnConstruction(c, e0_1)
     else:
-        n, m = c.n, c.edge_count
-        (a1, b1), (a2, b2) = c.endpoints[e0_1], c.endpoints[e0_2]
-        edges = list(c.endpoints)
-        edges[e0_1], edges[e0_2] = (a1, n), (a2, n + 1)
-        graph = Multigraph(n + 2, edges + [(b1, n), (b2, n + 1), (n, n + 1)])
-        e_n = m + 2
-        # A half joins its outer core vertex, the smaller end, to a new vertex.
-        half_of = {e0_1: e0_1, m: e0_1, e0_2: e0_2, m + 1: e0_2}
-        origin = {
-            e: ("half", half_of[e], u) if e in half_of else ("core", e)
-            for e, (u, _) in enumerate(graph.endpoints[:e_n])
-        }
-        origin[e_n] = ("new",)
-        hn = HnConstruction(graph, e_n, {e0_1: n, e0_2: n + 1}, origin)
+        n = c.n
+        sub = c.subdivide(e0_1).subdivide(e0_2)
+        hn = HnConstruction(Multigraph(n + 2, sub.endpoints + ((n, n + 1),)), c.edge_count + 2)
     if edge_connectivity(hn.graph) < 3:
         raise LiftFailedError("h_n must be 3-edge-connected when built from a valid core")
     return hn
@@ -207,7 +176,8 @@ def _attachment(cm: CoreMap, e: int) -> _Attachment:
         return _Attachment(ce, "on", cm.edge_expansion[ce].index(e) + 1)
     # A suppressed support lies inside the expansion, a core-vertex support
     # is one of its ends.
-    leaf, support = _pendant_ends(cm, e)
+    support = cm.pendant_support[e]
+    leaf = cm.original.other_end(e, support)
     try:
         p = cm.expansion_paths[ce].index(support)
     except ValueError:
@@ -269,23 +239,21 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
 
     # Each option is a lifted core walk mv with the attachments whose pieces
     # must end at mv[0] and at mv[-1].
-    if not ctx.hn.subdivided:
+    if ctx.e0_1 == ctx.e0_2:
         # e_n is the shared projected core edge itself.  The lifted cycle may
         # be traversed in either direction, so try both.
         mv, me = lift_walk(cm, rest_verts, rest_edges)
         options = [(mv, me, att1, att2), (mv[::-1], me[::-1], att1, att2)]
     else:
-        sub_of = {v: ce for ce, v in ctx.hn.subdivided.items()}
-        if x0 not in sub_of or x1 not in sub_of or x0 == x1:
+        # n subdivides e0_1 and n + 1 subdivides e0_2.  Away from them the
+        # walk uses only unsubdivided core edges, which keep their ids.
+        n = cm.core.n
+        if {x0, x1} != {n, n + 1}:
             raise LiftFailedError("e_n does not join the two subdivision vertices")
-        tags = [ctx.hn.edge_origin[e][0] for e in rest_edges]
-        if tags[0] != "half" or tags[-1] != "half":
-            raise LiftFailedError("trail does not leave the subdivision vertices by halves")
-        if any(tag != "core" for tag in tags[1:-1]):
+        if not {n, n + 1}.isdisjoint(rest_verts[1:-1]):
             raise LiftFailedError("trail revisits a subdivided edge")
-        # Unsubdivided core edges keep their ids in h_n.
         mv, me = lift_walk(cm, rest_verts[1:-1], rest_edges[1:-1])
-        first, last = (att1, att2) if sub_of[x1] == ctx.e0_1 else (att2, att1)
+        first, last = (att1, att2) if x1 == n else (att2, att1)
         options = [(mv, me, first, last)]
 
     for mv, me, first, last in options:
@@ -442,6 +410,15 @@ def run_pipeline(
         path = idt_to_ham_path(lgm, witness)
         _check_ham_path(g, path, u, v)
         return PipelineRun(g, h, witness, path, None)
+    cut = find_essential_cut(h, 3)
+    if cut is not None:
+        raise NotEssentially3EdgeConnectedError(
+            f"essential edge-cut of size {len(cut)} found", cut=cut
+        )
+    if edge_connectivity(cm.core) < 3:
+        raise LiftFailedError(
+            "core of an essentially 3-edge-connected multigraph must be 3-edge-connected"
+        )
     e0_1 = project_edge(cm, e1)
     e0_2 = project_edge(cm, e2)
     hn = build_hn(cm, e0_1, e0_2)

@@ -68,21 +68,11 @@ class Trail:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    def interior_vertices(self) -> frozenset[int]:
-        """All vertices for a closed trail; for an open trail, the vertices at
-        non-terminal positions (a terminal vertex revisited mid-trail counts)."""
-        if self.is_closed and self.edges:
-            return self.vertex_set()
-        return frozenset(self.vertices[1:-1])
-
     def is_spanning(self) -> bool:
         return self.vertex_set() == frozenset(range(self.host.n))
 
     def dominates_host_edges(self) -> bool:
         return vertices_dominate_edges(self.host, self.vertices)
-
-    def reversed(self) -> "Trail":
-        return Trail(self.host, self.vertices[::-1], self.edges[::-1])
 
 
 @dataclass(frozen=True)

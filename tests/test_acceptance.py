@@ -243,7 +243,7 @@ def test_criterion_10_core_properties():
         for shuffle_seed in range(10):
             again = core(h, rng=random.Random(shuffle_seed))
             assert again.core == cm.core
-            assert again.removed_pendants == cm.removed_pendants
+            assert again.pendant_support == cm.pendant_support
         assert edge_connectivity(cm.core) >= 3
         trail = find_spanning_closed_trail(cm.core)
         if trail is not None:

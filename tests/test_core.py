@@ -9,7 +9,6 @@ from hamconn.errors import (
     DisconnectedGraphError,
     LiftFailedError,
     NoCoreLocationError,
-    NotEssentially3EdgeConnectedError,
 )
 from hamconn.invariants import edge_connectivity, vertices_dominate_edges
 from hamconn.multigraph import (
@@ -23,16 +22,28 @@ from hamconn.multigraph import (
 from hamconn.trails import Trail, find_spanning_closed_trail
 
 
+def _with_pendant_tails(corpus):
+    """The corpus, then each graph with a pendant edge or a pendant path of
+    two edges hung off a seeded vertex."""
+    rng = random.Random(31)
+    graphs = list(corpus)
+    for h in corpus:
+        v, n = rng.randrange(h.n), h.n
+        tail = [(v, n)] if rng.random() < 0.5 else [(v, n), (n, n + 1)]
+        graphs.append(Multigraph(n + len(tail), list(h.endpoints) + tail))
+    return graphs
+
+
 @pytest.fixture
 def subdivided_k4():
-    return complete_graph(4).subdivide(0).graph
+    return complete_graph(4).subdivide(0)
 
 
 class TestCore:
     def test_k4_with_pendants(self, k4_with_pendants):
         cm = core(k4_with_pendants)
         assert isomorphic(cm.core, complete_graph(4))
-        assert cm.removed_pendants == frozenset({6, 7, 8, 9})
+        assert cm.pendant_support == {6: 0, 7: 1, 8: 2, 9: 3}
         cm.validate()
 
     def test_subdivided_k4(self, subdivided_k4):
@@ -44,17 +55,6 @@ class TestCore:
         for bad in (claw, path_graph(4), cycle_graph(5), star_graph(6)):
             with pytest.raises(DegenerateCoreError):
                 core(bad)
-
-    def test_not_essentially_3ec(self):
-        two_k4 = Multigraph(
-            8,
-            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-            + [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
-            + [(0, 4), (1, 5)],
-        )
-        with pytest.raises(NotEssentially3EdgeConnectedError) as err:
-            core(two_k4)
-        assert err.value.cut is not None
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -71,30 +71,23 @@ class TestCore:
         # the triangle 0-1-2 hangs off vertex 0: a loop core edge
         loop_core = Multigraph(4, [(0, 1), (0, 2), (0, 3), (0, 3), (0, 3), (1, 2)])
         for h in (k4_with_pendants, subdivided_k4, loop_core):
-            base = core(h, check=False)
+            base = core(h)
             for seed in range(10):
-                shuffled = core(h, rng=random.Random(seed), check=False)
+                shuffled = core(h, rng=random.Random(seed))
                 assert shuffled.core == base.core
-                assert shuffled.removed_pendants == base.removed_pendants
+                assert shuffled.pendant_support == base.pendant_support
                 assert shuffled.edge_expansion == base.edge_expansion
                 assert shuffled.expansion_paths == base.expansion_paths
 
     def test_walk_properties_on_corpus(self, equivalence_corpus):
         # the walk's invariants, and order independence of every field
-        rng = random.Random(31)
-        graphs = list(equivalence_corpus)
-        for h in equivalence_corpus:
-            # hang a pendant edge or a pendant path of two edges off a vertex
-            v, n = rng.randrange(h.n), h.n
-            tail = [(v, n)] if rng.random() < 0.5 else [(v, n), (n, n + 1)]
-            graphs.append(Multigraph(n + len(tail), list(h.endpoints) + tail))
-        for h in graphs:
+        for h in _with_pendant_tails(equivalence_corpus):
             try:
-                cm = core(h, check=False)
+                cm = core(h)
             except DegenerateCoreError:
                 continue
             two_core = [0] * h.n
-            for e in set(range(h.edge_count)) - cm.removed_pendants:
+            for e in set(range(h.edge_count)) - cm.pendant_support.keys():
                 u, v = h.endpoints[e]
                 two_core[u] += 1
                 two_core[v] += 1
@@ -103,11 +96,32 @@ class TestCore:
             for ce, epath in cm.edge_expansion.items():
                 assert all(cm.edge_owner[e] == ce for e in epath)
             for seed in range(10):
-                shuffled = core(h, rng=random.Random(seed), check=False)
+                shuffled = core(h, rng=random.Random(seed))
                 assert shuffled.core == cm.core
-                assert shuffled.removed_pendants == cm.removed_pendants
+                assert shuffled.pendant_support == cm.pendant_support
                 assert shuffled.edge_expansion == cm.edge_expansion
                 assert shuffled.expansion_paths == cm.expansion_paths
+
+    def test_pendant_support_is_the_end_that_remains(self, equivalence_corpus):
+        for h in _with_pendant_tails(equivalence_corpus):
+            try:
+                cm = core(h)
+            except DegenerateCoreError:
+                continue
+            for e, support in cm.pendant_support.items():
+                leaf = h.other_end(e, support)
+                # Without e, the leaf's side is cut off from the support and
+                # holds only stripped edges: it went before e did.
+                side, stack = {leaf}, [leaf]
+                while stack:
+                    for f, y in h.incidence()[stack.pop()]:
+                        if f != e and y not in side:
+                            side.add(y)
+                            stack.append(y)
+                assert support not in side
+                for f, (x, y) in enumerate(h.endpoints):
+                    if x in side or y in side:
+                        assert f in cm.pendant_support
 
     def test_core_is_3_edge_connected_on_random_inputs(self):
         rng = random.Random(27)
@@ -124,7 +138,7 @@ class TestCore:
     def test_edge_accounting(self, k4_with_pendants, subdivided_k4):
         for h in (k4_with_pendants, subdivided_k4):
             cm = core(h)
-            covered = len(cm.removed_pendants) + sum(
+            covered = len(cm.pendant_support) + sum(
                 len(p) for p in cm.edge_expansion.values()
             )
             assert covered == h.edge_count
@@ -148,11 +162,10 @@ class TestProjectVertex:
             project_vertex(cm, 4)
 
     def test_support_with_nonpendant_degree_2(self, subdivided_k4):
-        # pendant at the subdivision vertex: fails the essential-3EC
-        # precondition, so the decomposition runs with checks off
+        # pendant at the subdivision vertex (not essentially 3EC)
         g = subdivided_k4
         h = Multigraph(g.n + 1, list(g.endpoints) + [(4, g.n)])
-        cm = core(h, check=False)
+        cm = core(h)
         loc = project_vertex(cm, 4)
         assert loc.kind == "edge"
 

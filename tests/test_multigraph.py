@@ -65,25 +65,23 @@ class TestBasics:
 
 class TestSubdivide:
     def test_k2_becomes_p3(self):
-        res = complete_graph(2).subdivide(0)
-        assert isomorphic(res.graph, path_graph(3))
-        assert res.graph.degree(res.new_vertex) == 2
+        h = complete_graph(2).subdivide(0)
+        assert isomorphic(h, path_graph(3))
+        assert h.degree(2) == 2
 
     def test_triangle_becomes_c4(self):
-        res = cycle_graph(3).subdivide(1)
-        assert isomorphic(res.graph, cycle_graph(4))
+        assert isomorphic(cycle_graph(3).subdivide(1), cycle_graph(4))
 
     def test_loop_subdivision_gives_parallel_pair(self):
-        res = Multigraph(1, [(0, 0)]).subdivide(0)
+        h = Multigraph(1, [(0, 0)]).subdivide(0)
         # degree accounting: both vertices end with degree 2
-        assert res.graph.degrees() == (2, 2)
-        assert res.graph.multiplicity(0, 1) == 2
+        assert h.degrees() == (2, 2)
+        assert h.multiplicity(0, 1) == 2
 
     def test_edge_map_tracks_survivors(self, k4):
-        res = k4.subdivide(2)
-        assert set(res.edge_map) == {0, 1, 3, 4, 5}
-        for old, new in res.edge_map.items():
-            assert res.graph.endpoints[new] == k4.endpoints[old]
+        # K4's edge 2 is (0, 3): its id goes to (0, 4), and (3, 4) is appended
+        h = k4.subdivide(2)
+        assert h.endpoints == ((0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4))
 
     def test_random_multigraphs(self):
         rng = random.Random(5)
@@ -92,17 +90,15 @@ class TestSubdivide:
             edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 10))]
             g = Multigraph(n, edges)
             e = rng.randrange(g.edge_count)
-            res = g.subdivide(e)
-            h, w = res.graph, res.new_vertex
-            assert (h.n, w) == (g.n + 1, g.n)
-            assert h.degree(w) == 2
-            assert h.edge_count == g.edge_count + 1
-            assert sorted(res.edge_map) == [f for f in range(g.edge_count) if f != e]
-            for old, new in res.edge_map.items():
-                assert h.endpoints[new] == g.endpoints[old]
+            h = g.subdivide(e)
+            m = g.edge_count
+            assert (h.n, h.edge_count) == (n + 1, m + 1)
+            assert h.degree(n) == 2
+            for f in range(m):
+                if f != e:
+                    assert h.endpoints[f] == g.endpoints[f]
             u, v = g.endpoints[e]
-            assert h.endpoints[res.first_edge] == (u, w)
-            assert h.endpoints[res.second_edge] == (v, w)
+            assert (h.endpoints[e], h.endpoints[m]) == ((u, n), (v, n))
 
 
 class TestIsomorphism:

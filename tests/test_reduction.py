@@ -6,7 +6,12 @@ import pytest
 from hamconn import reduction
 from hamconn.constructions import wagner_counterexample
 from hamconn.core import core
-from hamconn.errors import GraphError, LiftFailedError, NotALineGraphOfMultigraphError
+from hamconn.errors import (
+    GraphError,
+    LiftFailedError,
+    NotALineGraphOfMultigraphError,
+    NotEssentially3EdgeConnectedError,
+)
 from hamconn.invariants import DominatingSet, dominating_set, edge_connectivity
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, complete_graph
@@ -50,17 +55,17 @@ class TestProjectEdge:
         assert ce == min(incident)
 
     def test_expansion_member_projects_to_owner(self):
-        sub = complete_graph(4).subdivide(0)
-        cm = core(sub.graph)
-        owner = project_edge(cm, sub.first_edge)
-        assert sub.first_edge in cm.edge_expansion[owner]
-        assert project_edge(cm, sub.second_edge) == owner
+        # edge 0 of K4 becomes the halves 0 and 6
+        cm = core(complete_graph(4).subdivide(0))
+        owner = project_edge(cm, 0)
+        assert 0 in cm.edge_expansion[owner]
+        assert project_edge(cm, 6) == owner
 
     def test_pendant_at_suppressed_support(self):
-        # needs check=False: the configuration is not essentially 3EC
-        g = complete_graph(4).subdivide(0).graph
+        # not essentially 3EC, which core leaves to its caller
+        g = complete_graph(4).subdivide(0)
         h = Multigraph(g.n + 1, list(g.endpoints) + [(4, g.n)])
-        cm = core(h, check=False)
+        cm = core(h)
         ce = project_edge(cm, h.edge_count - 1)
         assert 4 in cm.expansion_paths[ce]
 
@@ -79,7 +84,6 @@ class TestBuildHn:
     def test_equal_projections_reuse_core(self, k4p_core):
         hn = build_hn(k4p_core, 2, 2)
         assert hn.graph == k4p_core.core and hn.e_n == 2
-        assert not hn.subdivided
 
     def test_distinct_projections(self, k4p_core):
         # subdividing two of K4's six edges gives 8, plus the joining edge: 9
@@ -93,11 +97,14 @@ class TestBuildHn:
         assert hn.graph.n == 6 and hn.graph.edge_count == 9
         assert edge_connectivity(hn.graph) >= 3
 
-    def test_origin_map_covers_everything(self, k4p_core):
-        hn = build_hn(k4p_core, 0, 5)
-        assert set(hn.edge_origin) == set(range(hn.graph.edge_count))
-        tags = [tag[0] for tag in hn.edge_origin.values()]
-        assert tags.count("half") == 4 and tags.count("new") == 1
+    def test_graph_is_two_subdivisions_plus_joining_edge(self, k4p_core):
+        c = k4p_core.core
+        for a, b in itertools.permutations(range(c.edge_count), 2):
+            hn = build_hn(k4p_core, a, b)
+            sub = c.subdivide(a).subdivide(b)
+            assert hn.graph.n == c.n + 2
+            assert hn.graph.endpoints == sub.endpoints + ((c.n, c.n + 1),)
+            assert hn.e_n == c.edge_count + 2
 
 
 class TestPickZ:
@@ -201,7 +208,8 @@ class TestCheckHamPath:
         path = hamiltonian_path(k4, 0, 3)
         reduction._check_ham_path(k4, path, 0, 3)
         with pytest.raises(LiftFailedError):
-            reduction._check_ham_path(k4, path.reversed(), 0, 3)
+            reversed_path = Trail(k4, path.vertices[::-1], path.edges[::-1])
+            reduction._check_ham_path(k4, reversed_path, 0, 3)
         with pytest.raises(LiftFailedError):
             reduction._check_ham_path(k4, Trail(k4, (0, 3), (k4.edge_id(0, 3),)), 0, 3)
 
@@ -225,7 +233,7 @@ class TestPipeline:
         self._check_all_pairs(line_graph(k4_with_pendants).target)
 
     def test_l_of_subdivided_k4(self):
-        g = line_graph(complete_graph(4).subdivide(0).graph).target
+        g = line_graph(complete_graph(4).subdivide(0)).target
         self._check_all_pairs(g)
 
     def test_loop_core_cases(self):
@@ -238,6 +246,17 @@ class TestPipeline:
             run = run_pipeline(kn, 0, n - 1, dominating_set(kn, 1))
             assert run.context is None
             assert len(run.path.vertices) == n
+
+    def test_not_essentially_3ec(self):
+        # K4 with edge (0, 1) replaced by the path 0-4-5-1: {(0, 4), (1, 5)}
+        # is an essential 2-edge cut.  core decomposes H regardless; the
+        # pipeline refuses it.
+        h = Multigraph(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (1, 5)])
+        core(h)
+        g = line_graph(h).target
+        with pytest.raises(NotEssentially3EdgeConnectedError) as err:
+            run_pipeline(g, 0, 1, dominating_set(g, 3))
+        assert err.value.cut is not None
 
     def test_claw_rejected(self, claw):
         with pytest.raises(NotALineGraphOfMultigraphError):

@@ -42,10 +42,6 @@ class TestTrailType:
         with pytest.raises(GraphError):
             Trail(k4, (0, 2), (0,)).validate()
 
-    def test_interior_of_closed_trail_is_everything(self, k4):
-        t = find_spanning_closed_trail(k4)
-        assert t.interior_vertices() == frozenset(range(4))
-
     def test_trivial_trail_is_closed(self, k4):
         t = Trail(k4, (2,), ())
         t.validate()
