@@ -13,7 +13,9 @@ automorphism group is labeled.  The group comes for free from the parent's
 own canonical labeling, whose search collects automorphisms to prune
 itself, so level n makes one labeling per graph on n - 1 vertices with a
 marked vertex subset (OEIS A000666: 5,096 at n = 7, 79,264 at n = 8)
-instead of one per (parent, subset) pair.
+instead of one per (parent, subset) pair.  A child is the parent's
+neighbor masks plus the new vertex's, keyed by their canonical code; only
+the first child of a class is built as a ``SimpleGraph``.
 
 Claw-freeness is hereditary: deleting the newest vertex of a claw-free
 graph leaves a claw-free graph.  So ``graph_classes(n, claw_free=True)``
@@ -40,7 +42,7 @@ from typing import Iterator, Union
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError, LiftFailedError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
-from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, canonical_labeling
+from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, _relabeled, canonical_labeling
 
 MAX_ENUMERATION_VERTICES = 8
 MAX_CLAW_FREE_VERTICES = 10
@@ -166,20 +168,13 @@ def graph_classes(
                     if claw_free and _makes_claw(adjacency, mask):
                         rejected += weight * len(orbit)
                         continue
-                    g = SimpleGraph(
-                        n, parent.endpoints + tuple((v, new) for v in range(new) if mask >> v & 1)
-                    )
+                    child = _Masks([a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)] + [mask])
                     found: list = []
-                    perm = canonical_labeling(g, automorphisms=found)
-                    key = tuple(
-                        sorted(
-                            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                            for u, v in g.endpoints
-                        )
-                    )
+                    key = _relabeled(child, 1, canonical_labeling(child, automorphisms=found))
                     entry = classes.get(key)
                     if entry is None:
-                        classes[key] = [g, weight * len(orbit), found]
+                        edges = tuple((v, new) for v in range(new) if mask >> v & 1)
+                        classes[key] = [SimpleGraph(n, parent.endpoints + edges), weight * len(orbit), found]
                     else:
                         entry[1] += weight * len(orbit)
             level = list(classes.values())
@@ -190,6 +185,15 @@ def graph_classes(
         if len(level) != known:
             raise LiftFailedError(f"{len(level)} classes on {n} vertices, not {known}")
         yield from ((g, weight) for g, weight, _ in level)
+
+
+class _Masks(tuple):
+    """Neighbor bitmasks that ``canonical_labeling`` reads as a simple graph."""
+
+    n = property(len)
+
+    def adjacency_masks(self) -> "_Masks":
+        return self
 
 
 def _makes_claw(adjacency: list[int], mask: int) -> bool:

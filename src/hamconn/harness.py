@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Iterable, Optional
 
 from .constructions import wagner_counterexample
@@ -162,6 +161,7 @@ def _merged_report(
     if workers <= 1:
         results = [_worker(job) for job in jobs]
     else:
+        from multiprocessing import Pool  # here, so one-worker runs never load it
         with Pool(processes=workers) as pool:
             results = pool.map(_worker, jobs, chunksize=1)
     counts = [0] * 6

@@ -20,7 +20,7 @@ from .errors import (
     NotALineGraphOfMultigraphError,
 )
 from .invariants import find_claw, simplicial_vertices
-from .multigraph import Multigraph, SimpleGraph, canonical_labeling, relabel
+from .multigraph import Multigraph, SimpleGraph, _mask_vertices, canonical_labeling, relabel
 
 
 @dataclass(frozen=True)
@@ -188,14 +188,6 @@ def _krausz_cover(g: SimpleGraph) -> list[frozenset[int]] | None:
     if not solve():
         return None
     return cliques
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def preimage(g: SimpleGraph) -> Multigraph:

@@ -17,11 +17,10 @@ are its callers.  ``edge_masks()`` holds each vertex's incident edges as a
 bitmask, for the edge-set questions asked next to the walk.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
-and refinement with automorphism pruning (McKay & Piperno, "Practical graph
-isomorphism, II", 2014), which shortcuts sets of twin vertices.  The
-automorphisms its search finds for pruning are handed to callers that ask,
-so the class generator in ``corpus`` gets each parent's group for free.
-:func:`find_isomorphism` compares the canonical forms of its two graphs.
+and refinement on vertex bitmasks with automorphism pruning, which shortcuts
+sets of twin vertices.  The automorphisms its search finds are handed to
+callers that ask, so ``corpus`` gets each parent's group for free.
+:func:`find_isomorphism` compares root partitions, then canonical forms.
 """
 
 from __future__ import annotations
@@ -252,39 +251,95 @@ class SimpleGraph(Multigraph):
 # -- isomorphism --------------------------------------------------------------
 
 
-def _multiplicity_rows(g: Multigraph) -> list[dict[int, int]]:
-    rows: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for u, v in g.endpoints:
-        rows[u][v] = rows[u].get(v, 0) + 1
-        if u != v:
-            rows[v][u] = rows[v].get(u, 0) + 1
-    return rows
+def _mask_vertices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    """The coarsest equitable refinement of a vertex coloring.
+def _root(g: Multigraph) -> tuple[Sequence[int], int, list[int]]:
+    """Where a search of ``g`` starts: ``adj[v]`` with bit ``k * n + w`` set
+    when more than ``k`` edges join ``v`` and ``w``, ``rep`` with bit
+    ``k * n`` per layer ``k``, and the refined cells of equal loop count."""
+    n, rep = g.n, 1
+    if isinstance(g, SimpleGraph) or not isinstance(g, Multigraph):
+        adj, cells = g.adjacency_masks(), [(1 << n) - 1] if n else []
+    else:
+        rows, loops = [0] * n, [0] * n
+        for u, v in g.endpoints:
+            if u == v:
+                loops[u] += 1
+                continue
+            shift = 0
+            while rows[u] >> shift + v & 1:
+                shift += n
+            rows[u] |= 1 << shift + v
+            rows[v] |= 1 << shift + u
+        adj, rep = tuple(rows), sum(1 << k for k in range(0, max(rows, default=0).bit_length(), n or 1)) or 1
+        cells = [sum(1 << v for v in range(n) if loops[v] == k) for k in sorted(set(loops))]
+    return adj, rep, _refine(adj, rep, cells, list(cells))
 
-    Recolors by (color, sorted neighbor colors with multiplicity) and
-    renumbers in sorted order, so cells split in place and the colors are
-    comparable across isomorphic graphs.
-    """
-    n = len(adj)
-    count = len(set(colors))
-    while True:
-        keys = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(n)]
-        table = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colors = [table[key] for key in keys]
-        if len(table) == count:
-            return colors
-        count = len(table)
+
+def _refine(adj: Sequence[int], rep: int, cells: list[int], queue: list[int]) -> list[int]:
+    """The equitable refinement of an ordered partition into vertex masks.
+    Each splitter off the FIFO ``queue`` splits every cell in place into
+    parts of equal edge count into it, ascending; a split cell's parts are
+    queued, but for the first largest if the cell was not queued itself."""
+    n, pending = len(adj), set(queue)
+    for s in queue:
+        if s not in pending:
+            continue
+        pending.remove(s)
+        single = rep == 1 and not s & (s - 1)
+        nb, s, out = adj[s.bit_length() - 1], s * rep, []
+        for c in cells:
+            if single:
+                inner = c & nb
+                if not inner or inner == c:
+                    out.append(c)
+                    continue
+                parts = [c ^ inner, inner]
+            else:
+                by_count: dict[int, int] = {}
+                rest = c if c & (c - 1) else 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (adj[low.bit_length() - 1] & s).bit_count()
+                    by_count[k] = by_count.get(k, 0) | low
+                if len(by_count) < 2:
+                    out.append(c)
+                    continue
+                parts = [by_count[k] for k in sorted(by_count)]
+            out += parts
+            if c in pending:
+                pending.remove(c)
+            else:
+                parts.remove(max(parts, key=int.bit_count))
+            queue += parts
+            pending.update(parts)
+        cells = out
+        if len(cells) == n:
+            break
+    return cells
 
 
-def _root_refinement(g: Multigraph) -> tuple[list[dict[int, int]], list[list[int]], list[int]]:
-    """Multiplicity rows, neighbor lists with one entry per edge, and the
-    refinement of the unit coloring: what every labeling search starts from."""
-    rows = _multiplicity_rows(g)
-    adj = [[w for w, k in row.items() for _ in range(k)] for row in rows]
-    return rows, adj, _refine(adj, [0] * g.n)
+def _relabeled(adj: Sequence[int], rep: int, perm: Sequence[int]) -> tuple[int, ...]:
+    """The masks of ``_root`` relabeled by ``perm``, row ``perm[v]`` for
+    vertex ``v``: a search leaf's code, and the class key in ``corpus``."""
+    n = len(perm)
+    bits = [1 << shift + p for shift in range(0, rep.bit_length(), n) for p in perm]
+    code = [0] * n
+    for v, mask in enumerate(adj):
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= bits[low.bit_length() - 1]
+            mask ^= low
+        code[perm[v]] = row
+    return tuple(code)
 
 
 def canonical_labeling(
@@ -298,110 +353,106 @@ def canonical_labeling(
     whenever ``a`` and ``b`` are isomorphic.
 
     Individualization-refinement with automorphism pruning (McKay & Piperno,
-    "Practical graph isomorphism, II", 2014).  Each search node is a vertex
-    coloring refined until no color class splits; a node branches on its
-    smallest class that is not a set of twins, individualizing each member
-    in turn.  A node whose classes are singletons or sets of twins is a
-    leaf, labeled by (color, vertex); the least sorted edge list over the
-    leaves is the canonical form.  Exponential in the worst case, fine at
-    desk scale.
-
-    When ``automorphisms`` is a list, the automorphisms the search used for
-    pruning (twin swaps and the maps between leaves with equal codes) are
-    appended to it, each as a list mapping vertex ``v`` to its image.
+    "Practical graph isomorphism, II", 2014) on vertex bitmasks.  A node is
+    an ordered partition into cell masks, made equitable by :func:`_refine`;
+    it branches on its first smallest cell that is not a set of twins (equal
+    multiplicity to every other vertex), individualizing each member ``v``
+    as a cell ``{v}`` ahead of the rest, with only ``{v}`` queued.  A leaf's
+    vertices in cell order give the permutation and :func:`_relabeled` the
+    code; the least code wins.  ``g`` may also be any object with ``n`` and
+    ``adjacency_masks()`` of a simple graph.  When ``automorphisms`` is a
+    list, the twin swaps and the maps between leaves with equal codes that
+    pruned the search are appended to it, each mapping ``v`` to its image.
     """
     if g.n > size_guard:
         raise GraphError(f"canonical labeling capped at {size_guard} vertices")
     if g.n == 0:
         return ()
-    perm, auts = _labeling(g, *_root_refinement(g))
+    perm, auts = _labeling(*_root(g))
     if automorphisms is not None:
         automorphisms.extend(auts)
     return perm
 
 
-def _labeling(
-    g: Multigraph, rows: list[dict[int, int]], adj: list[list[int]], root: list[int]
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The search behind ``canonical_labeling``, from ``_root_refinement(g)``:
-    the permutation and the automorphisms found on the way."""
-    n = g.n
-    # Twins (equal loops and equal multiplicity to every other vertex) are
-    # swapped by an automorphism, so they share a root color; twin[v] is the
-    # least vertex of v's twin class, and the swaps seed the orbit pruning.
-    # Equal root colors give equal degrees, so a pair with equal multiplicity
-    # to every other vertex also has equal loop counts.
-    twin = list(range(n))
-    auts = []
-    for v in range(n):
-        for w in range(v):
-            if twin[w] != w or root[w] != root[v]:
-                continue
-            others = (rows[v].keys() | rows[w].keys()) - {v, w}
-            if all(rows[v].get(x, 0) == rows[w].get(x, 0) for x in others):
-                twin[v] = w
-                auts.append([v if x == w else w if x == v else x for x in range(n)])
-                break
-    best: dict = {"code": None}
+def _labeling(adj: Sequence[int], rep: int, root: list[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The search behind ``canonical_labeling``, from ``_root``: the
+    permutation and the automorphisms found on the way."""
+    n = len(adj)
+    # Twins are swapped by an automorphism, so they share a root cell;
+    # twin[v] is the mask of v's twin class, and the swaps seed the pruning.
+    twin = [1 << v for v in range(n)]
+    auts: list[list[int]] = []
+    for c in root if len(root) < n else ():
+        while c & (c - 1):
+            v = (c & -c).bit_length() - 1
+            c ^= 1 << v
+            for w in _mask_vertices(c):
+                if adj[v] & ~(rep << w) == adj[w] & ~(rep << v):
+                    twin[v] |= 1 << w
+                    auts.append([w if x == v else v if x == w else x for x in range(n)])
+            for w in _mask_vertices(twin[v] & c):
+                twin[w] = twin[v]
+            c &= ~twin[v]
+    best: list = []
 
-    def search(colors: list[int], path: list[int]) -> int:
+    def search(cells: list[int], path: list[int]) -> int:
         """Explore one node; return the depth at which the search resumes."""
-        depth = len(path)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target, color = None, -1
-        for c in sorted(cells):
-            cell = cells[c]
-            if any(twin[v] != twin[cell[0]] for v in cell):
-                if target is None or len(cell) < len(target):
-                    target, color = cell, c
-        if target is None:
+        depth, target = len(path), 0
+        for c in cells if len(cells) < n else ():
+            if c & ~twin[(c & -c).bit_length() - 1] and (
+                not target or c.bit_count() < target.bit_count()
+            ):
+                target = c
+        if not target:
             # Every order of the remaining twin classes gives the same code.
-            order = sorted(range(n), key=lambda v: (colors[v], v))
+            order = [c.bit_length() - 1 for c in cells] if len(cells) == n else []
+            for c in cells if not order else ():
+                order += _mask_vertices(c)
             perm = [0] * n
             for position, v in enumerate(order):
                 perm[v] = position
-            code = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.endpoints)
-            if best["code"] is None or code < best["code"]:
-                best.update(code=code, perm=perm, order=order, path=path)
+            if not best:
+                best[:] = None, perm, order, path
                 return depth
-            if code != best["code"]:
+            # The map onto the best leaf is an automorphism exactly when the
+            # codes are equal, so codes are computed only when it is not.
+            aut = [best[2][p] for p in perm]
+            if _relabeled(adj, rep, aut) != adj:
+                best[0] = best[0] or _relabeled(adj, rep, best[1])
+                code = _relabeled(adj, rep, perm)
+                if code < best[0]:
+                    best[:] = code, perm, order, path
                 return depth
-            # Equal codes: this leaf and the best one differ by an automorphism
-            # that maps this branch below their common ancestor onto the
-            # explored branch of the best leaf, so the search resumes there.
-            auts.append([best["order"][perm[v]] for v in range(n)])
+            # It maps this branch below the common ancestor onto the explored
+            # branch of the best leaf, so the search resumes there.
+            auts.append(aut)
             common = 0
-            while path[common] == best["path"][common]:
+            while path[common] == best[3][common]:
                 common += 1
             return common
         # Children in one orbit of the automorphisms found so far that fix
         # the path pointwise have subtrees with the same codes.
-        explored: set[int] = set()
-        for v in target:
-            if v in explored:
+        at, explored = cells.index(target), 0
+        for v in _mask_vertices(target):
+            if explored >> v & 1:
                 continue
-            child = [2 * c for c in colors]
-            for w in target:
-                child[w] = 2 * color + 1
-            child[v] = 2 * color
-            resume = search(_refine(adj, child), path + [v])
+            child = cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1 :]
+            resume = search(_refine(adj, rep, child, [1 << v]), path + [v])
             if resume < depth:
                 return resume
-            explored.add(v)
+            explored |= 1 << v
             fixing = [aut for aut in auts if all(aut[p] == p for p in path)]
-            stack = list(explored)
+            stack = _mask_vertices(explored) if fixing else []
             while stack:
                 x = stack.pop()
                 for aut in fixing:
-                    if aut[x] not in explored:
-                        explored.add(aut[x])
+                    if not explored >> aut[x] & 1:
+                        explored |= 1 << aut[x]
                         stack.append(aut[x])
         return depth
 
     search(root, [])
-    return tuple(best["perm"]), auts
+    return tuple(best[1]), auts
 
 
 def find_isomorphism(
@@ -418,13 +469,17 @@ def find_isomorphism(
         return None
     if sorted(a.degrees()) != sorted(b.degrees()):
         return None
-    # The refined root colors are isomorphism-invariant: a cheap rejection
-    # before either graph is labeled.
-    start_a, start_b = _root_refinement(a), _root_refinement(b)
-    if sorted(start_a[2]) != sorted(start_b[2]):
+    # The root partition is isomorphism-invariant: its cell sizes, loop
+    # counts and quotient edge counts reject before either graph is searched.
+    roots = [_root(a), _root(b)]
+    quotients = [
+        [(c.bit_count(), g.multiplicity(v, v), [(adj[v] & d * rep).bit_count() for d in cells])
+         for c in cells for v in [(c & -c).bit_length() - 1]]
+        for g, (adj, rep, cells) in zip((a, b), roots)
+    ]
+    if quotients[0] != quotients[1]:
         return None
-    perm_a = _labeling(a, *start_a)[0]
-    perm_b = _labeling(b, *start_b)[0]
+    perm_a, perm_b = [_labeling(*root)[0] for root in roots]
     if relabel(a, perm_a) != relabel(b, perm_b):
         return None
     inv_b = sorted(range(b.n), key=perm_b.__getitem__)

@@ -17,6 +17,7 @@ from hamconn.multigraph import (
     relabel,
     star_graph,
     _edge_component,
+    _is_isomorphism,
 )
 
 from oracles import (
@@ -207,6 +208,85 @@ class TestCanonicalLabeling:
                 rng.shuffle(edges)
                 h = Multigraph(g.n, edges)
                 assert relabel(h, canonical_labeling(h, size_guard=guard)) == canon, g
+
+
+class TestBitmaskEngine:
+    """The labeling engine on many small graphs: canonical forms, the
+    isomorphism test and every automorphism it hands out."""
+
+    @staticmethod
+    def shuffled(g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.endpoints]
+        rng.shuffle(edges)
+        return type(g)(g.n, edges)
+
+    def check_canonical_form(self, g, rng):
+        automorphisms: list = []
+        canon = relabel(g, canonical_labeling(g, automorphisms=automorphisms))
+        for aut in automorphisms:
+            assert _is_isomorphism(g, g, aut), (g, aut)
+        for _ in range(3):
+            h = self.shuffled(g, rng)
+            assert relabel(h, canonical_labeling(h)) == canon, g
+
+    def test_simple_graphs_up_to_10_vertices(self):
+        rng = random.Random(41)
+        for _ in range(4000):
+            n = rng.randint(1, 10)
+            pairs = list(itertools.combinations(range(n), 2))
+            density = rng.random()
+            g = SimpleGraph(n, [p for p in pairs if rng.random() < density])
+            self.check_canonical_form(g, rng)
+
+    def test_multigraphs_with_loops_and_parallel_edges(self):
+        rng = random.Random(43)
+        for _ in range(600):
+            self.check_canonical_form(random_multigraph_with_loops(rng), rng)
+
+    def test_isomorphic_agrees_with_networkx(self):
+        # relabelings, and relabelings with the ends of two edges swapped,
+        # which keeps the degree sequence
+        rng = random.Random(47)
+        for i in range(600):
+            g = random_multigraph_with_loops(rng) if i % 3 else None
+            if g is None:
+                n = rng.randint(2, 9)
+                g = SimpleGraph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+            h = self.shuffled(g, rng)
+            if i % 2 and h.edge_count >= 2:
+                edges = list(h.endpoints)
+                (a, b), (c, d) = edges[0], edges[1]
+                edges[0], edges[1] = (a, d), (c, b)
+                h = Multigraph(h.n, edges)
+            assert isomorphic(g, h) == nx_isomorphic(g, h), (g, h)
+
+    def test_graphs_without_vertices(self):
+        assert find_isomorphism(Multigraph(0), Multigraph(0)) == ()
+        assert find_isomorphism(SimpleGraph(0), SimpleGraph(0)) == ()
+        assert canonical_labeling(Multigraph(0)) == ()
+
+    def test_root_partition_rejects_before_any_search(self, monkeypatch):
+        # P6 and K3 + P3 share the degree sequence (1, 1, 2, 2, 2, 2), but
+        # their refined root cells have sizes 2, 2, 2 and 2, 1, 3
+        from hamconn import multigraph
+
+        searches = []
+        labeling = multigraph._labeling
+
+        def counting(*args):
+            searches.append(args)
+            return labeling(*args)
+
+        monkeypatch.setattr(multigraph, "_labeling", counting)
+        p6 = path_graph(6)
+        k3_p3 = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+        assert sorted(p6.degrees()) == sorted(k3_p3.degrees())
+        assert find_isomorphism(p6, k3_p3) is None
+        assert searches == []
+        assert find_isomorphism(p6, relabel(p6, [5, 4, 3, 2, 1, 0])) is not None
+        assert len(searches) == 2
 
 
 class TestSizeGuard:
