@@ -5,22 +5,24 @@ at 10 for claw-free graphs; anything larger must come from an ingested
 file.  :func:`graph_classes` generates one simple graph per isomorphism
 class (13,598 classes on up to 8 vertices) together with the number of
 labeled graphs in the class, so isomorphism-invariant counts over all
-labeled graphs need one graph per class.  The generation is isomorph-free in
-McKay's sense ("Isomorph-free exhaustive generation", J. Algorithms 1998):
-a class on n vertices grows from each class on n - 1 by the neighbor set of
-a new vertex, and only one neighbor set per orbit of the parent's
-automorphism group is labeled.  The group comes for free from the parent's
-own canonical labeling, whose search collects automorphisms to prune
-itself, so level n makes one labeling per graph on n - 1 vertices with a
-marked vertex subset (OEIS A000666: 5,096 at n = 7, 79,264 at n = 8)
-instead of one per (parent, subset) pair.  A child is the parent's
-neighbor masks plus the new vertex's, keyed by their canonical code; only
-the first child of a class is built as a ``SimpleGraph``.
+labeled graphs need one graph per class.  The generation is McKay's
+canonical augmentation ("Isomorph-free exhaustive generation", J.
+Algorithms 1998): a class on n vertices grows from each class on n - 1 by
+the neighbor set of a new vertex, only one neighbor set per orbit of the
+parent's automorphism group is tried, and a child is kept only when the
+new vertex is in the orbit of its canonical deletion vertex, so each class
+is produced once and nothing is merged.  Most children are decided by a
+vertex invariant alone; the others are labeled, and their automorphisms,
+which the labeling's search collects to prune itself, give the orbit of
+the new vertex and, once the child is a parent, the orbits of its neighbor
+sets.  A class's labeled count is n! / |Aut|, carried from its parent
+through the two orbit sizes.
 
-Claw-freeness is hereditary: deleting the newest vertex of a claw-free
-graph leaves a claw-free graph.  So ``graph_classes(n, claw_free=True)``
-extends only claw-free classes and drops, with one bitmask test per orbit
-and before any labeling, each neighbor set that closes a claw (1,715
+Claw-freeness is hereditary: deleting any vertex of a claw-free graph,
+the canonical deletion vertex included, leaves a claw-free graph.  So
+``graph_classes(n, claw_free=True)`` extends only claw-free classes and
+drops, with one bitmask test per orbit and before any labeling, each
+neighbor set that closes a claw (1,715
 classes on up to 8 vertices, 42,179 on up to 10).  The labeled counts of
 all graphs and of connected graphs, which the exhaustive check still
 reports, have closed forms (:func:`labeled_counts`).
@@ -42,7 +44,7 @@ from typing import Iterator, Union
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError, LiftFailedError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
-from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, _relabeled, canonical_labeling
+from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, _mask_vertices, canonical_labeling
 
 MAX_ENUMERATION_VERTICES = 8
 MAX_CLAW_FREE_VERTICES = 10
@@ -103,36 +105,44 @@ def graph_classes(
     simple graphs on 1..``max_vertices`` vertices, level by level; with
     ``claw_free``, for every class of claw-free graphs only.
 
-    Level n joins a new vertex n - 1 to the vertex subsets (neighbor masks)
-    of each level n - 1 representative and keeps the first graph of every
-    canonical form.  A labeled graph on n vertices is one labeled graph on
-    the first n - 1 vertices plus the neighbor set of the last, and
-    isomorphic graphs on n - 1 vertices have equally many subsets leading
-    into each class, so a class's labeled count is the sum of its parents'
-    counts over the (parent, subset) pairs that produce it; no automorphism
-    group order is needed.
+    Level n joins a new vertex w = n - 1 to the vertex subsets (neighbor
+    masks) of each level n - 1 representative.  Masks in one orbit of
+    Aut(parent) give isomorphic children, so each parent's masks are walked
+    in ascending order and each mask not yet seen stands for its whole
+    orbit, which it closes under the automorphisms ``canonical_labeling``
+    found while labeling the parent.
 
-    Subsets in one orbit of Aut(parent) give isomorphic children, so each
-    parent's masks are walked in ascending order, and each mask not yet seen
-    is labeled once for its whole orbit, which it closes under the
-    automorphisms ``canonical_labeling`` found while labeling the parent;
-    the orbit's size multiplies the parent's count.  The least mask leading
-    into a class is the least of its orbit, so representatives and counts
-    are the same as when every subset is labeled.
+    A child is kept when w lies in the Aut(child)-orbit of its canonical
+    deletion vertex: of the vertices with the largest invariant
+    (:func:`_deletion_ties`), the one with the largest canonical position.
+    An isomorphism between two children maps that orbit onto that orbit, so
+    each class is kept from exactly one (parent, mask orbit) pair, and its
+    parent is the representative of the class of the child minus that
+    vertex.  A child where another vertex has a larger invariant than w is
+    rejected without a labeling, and one where w alone has the largest is
+    kept without one; its automorphisms are found when it becomes a parent,
+    so the last level labels only children with ties.
+
+    A class's labeled count is n! / |Aut|.  The automorphisms of a child
+    that fix w are those of its parent that fix the mask, so a kept child
+    counts n * weight(parent) * |mask orbit| / |orbit of w under
+    Aut(child)|.
 
     A claw-free graph's parent is claw-free, so with ``claw_free`` only
     claw-free classes are extended, and an orbit whose least mask closes a
-    claw through the new vertex (:func:`_makes_claw`) is rejected before it
-    is labeled.  Parents keep their relative order, so every claw-free
-    class has the same representative and count as in the full generation.
+    claw through the new vertex (:func:`_makes_claw`) is rejected before
+    anything else.  The canonical deletion depends on the child alone, so
+    every claw-free class has the same representative and count as in the
+    full generation.
 
-    Each automorphism must map the parent's edges onto themselves, the
-    counts of a level's classes plus those of its rejected orbits must add
-    up to its parents' counts times 2^(n - 1) (2^C(n, 2) in all when nothing
-    is rejected), and its number of classes must be the known one, or
-    ``LiftFailedError`` is raised; the sum checks the bookkeeping, the
-    class count the merging and the claw test.  The full generation is
-    capped at 8 vertices, the claw-free one at 10.
+    Each automorphism must map its graph's edges onto themselves, each
+    labeled count must divide exactly, the counts of a level's classes plus
+    those of its claw-rejected orbits must add up to its parents' counts
+    times 2^(n - 1) (2^C(n, 2) in all when nothing is rejected), and its
+    number of classes must be the known one, or ``LiftFailedError`` is
+    raised; the sum checks the orbit sizes and the counts, the class count
+    the deletion test and the claw test.  The full generation is capped at
+    8 vertices, the claw-free one at 10.
     """
     cap, known_counts = (
         (MAX_CLAW_FREE_VERTICES, _CLAW_FREE_CLASS_COUNTS)
@@ -149,8 +159,10 @@ def graph_classes(
         if n > 1:
             new = n - 1
             expected = sum(entry[1] for entry in level) << new
-            classes: dict[tuple, list] = {}
+            children: list = []
             for parent, weight, automorphisms in level:
+                if automorphisms is None:
+                    automorphisms = _checked_labeling(parent)[1]
                 images = _mask_images(parent, automorphisms)
                 adjacency = parent.adjacency_masks()
                 seen = bytearray(1 << new)
@@ -168,16 +180,24 @@ def graph_classes(
                     if claw_free and _makes_claw(adjacency, mask):
                         rejected += weight * len(orbit)
                         continue
-                    child = _Masks([a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)] + [mask])
-                    found: list = []
-                    key = _relabeled(child, 1, canonical_labeling(child, automorphisms=found))
-                    entry = classes.get(key)
-                    if entry is None:
-                        edges = tuple((v, new) for v in range(new) if mask >> v & 1)
-                        classes[key] = [SimpleGraph(n, parent.endpoints + edges), weight * len(orbit), found]
-                    else:
-                        entry[1] += weight * len(orbit)
-            level = list(classes.values())
+                    ties = _deletion_ties(
+                        [a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)] + [mask]
+                    )
+                    if not ties:
+                        continue
+                    edges = tuple((v, new) for v in range(new) if mask >> v & 1)
+                    child = SimpleGraph(n, parent.endpoints + edges)
+                    found, w_orbit = None, 1 << new
+                    if ties != w_orbit:
+                        perm, found = _checked_labeling(child)
+                        w_orbit = _orbit(found, new)
+                        if not w_orbit >> max(_mask_vertices(ties), key=perm.__getitem__) & 1:
+                            continue
+                    count, rest = divmod(n * weight * len(orbit), w_orbit.bit_count())
+                    if rest:
+                        raise LiftFailedError(f"{child!r} has a fractional labeled count")
+                    children.append((child, count, found))
+            level = children
         total = sum(entry[1] for entry in level) + rejected
         if total != expected:
             raise LiftFailedError(f"labeled counts on {n} vertices add up to {total}, not {expected}")
@@ -187,13 +207,46 @@ def graph_classes(
         yield from ((g, weight) for g, weight, _ in level)
 
 
-class _Masks(tuple):
-    """Neighbor bitmasks that ``canonical_labeling`` reads as a simple graph."""
+def _checked_labeling(g: SimpleGraph) -> tuple[tuple[int, ...], list]:
+    """``canonical_labeling(g)`` and the automorphisms its search found;
+    raises ``LiftFailedError`` on a map that is not an automorphism."""
+    automorphisms: list = []
+    perm = canonical_labeling(g, automorphisms=automorphisms)
+    for aut in automorphisms:
+        if not _is_isomorphism(g, g, aut):
+            raise LiftFailedError(f"{aut} is not an automorphism of {g!r}")
+    return perm, automorphisms
 
-    n = property(len)
 
-    def adjacency_masks(self) -> "_Masks":
-        return self
+def _deletion_ties(adjacency: list[int]) -> int:
+    """The vertices that share the largest invariant (degree, then the sum
+    of the neighbors' degrees) with the last vertex of the graph with
+    neighbor bitmasks ``adjacency``, as a bitmask; 0 when another vertex's
+    invariant is larger."""
+    degrees = [a.bit_count() for a in adjacency]
+    top = degrees[-1]
+    if max(degrees) > top:
+        return 0
+    ties = [v for v, d in enumerate(degrees) if d == top]
+    if len(ties) == 1:
+        return 1 << ties[0]
+    sums = [sum(degrees[u] for u in _mask_vertices(adjacency[v])) for v in ties]
+    if max(sums) > sums[-1]:
+        return 0
+    return sum(1 << v for v, s in zip(ties, sums) if s == sums[-1])
+
+
+def _orbit(automorphisms: list, v: int) -> int:
+    """The orbit of vertex ``v`` under the group ``automorphisms``
+    generate, as a bitmask."""
+    orbit, stack = 1 << v, [v]
+    while stack:
+        x = stack.pop()
+        for aut in automorphisms:
+            if not orbit >> aut[x] & 1:
+                orbit |= 1 << aut[x]
+                stack.append(aut[x])
+    return orbit
 
 
 def _makes_claw(adjacency: list[int], mask: int) -> bool:
@@ -216,8 +269,8 @@ def _makes_claw(adjacency: list[int], mask: int) -> bool:
 def _has_independent(adjacency: list[int], vertices: int, k: int) -> bool:
     """Whether the vertex bitmask ``vertices`` holds ``k`` pairwise
     non-adjacent vertices."""
-    if k == 0:
-        return True
+    if k == 1:
+        return vertices != 0
     while vertices:
         low = vertices & -vertices
         vertices ^= low
@@ -242,12 +295,9 @@ def labeled_counts(n: int) -> tuple[int, int]:
 
 def _mask_images(g: SimpleGraph, automorphisms: list) -> list[list[int]]:
     """For each automorphism of ``g``, the image of every vertex mask of
-    ``g``, indexed by the mask; raises ``LiftFailedError`` on a map that is
-    not an automorphism."""
+    ``g``, indexed by the mask."""
     tables = []
     for aut in automorphisms:
-        if not _is_isomorphism(g, g, aut):
-            raise LiftFailedError(f"{aut} is not an automorphism of {g!r}")
         table = [0] * (1 << g.n)
         for mask in range(1, 1 << g.n):
             low = mask & -mask
@@ -258,8 +308,8 @@ def _mask_images(g: SimpleGraph, automorphisms: list) -> list[list[int]]:
 
 def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:
     """One representative per isomorphism class of connected simple graphs:
-    the connected classes of :func:`graph_classes`, each represented by the
-    first graph of its class in generation order."""
+    the connected classes of :func:`graph_classes`, with its
+    representatives."""
     return [g for g, _ in graph_classes(max_vertices) if g.is_connected()]
 
 

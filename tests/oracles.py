@@ -256,11 +256,13 @@ def enumerate_labeled_upto(n: int):
 
 def unpruned_graph_classes(max_vertices: int) -> list:
     """``(n, endpoints, labeled_count)`` per isomorphism class of simple
-    graphs on 1..``max_vertices`` vertices, in the order ``graph_classes``
-    defines: every class representative on n - 1 vertices, in order, is
-    joined to all 2^(n-1) neighbor sets of a new vertex n - 1, and each
-    child adds its parent's count to the first class it is isomorphic to
-    (networkx), or starts a new class with itself as representative."""
+    graphs on 1..``max_vertices`` vertices, with no pruning and no
+    automorphism group: every class representative on n - 1 vertices, in
+    order, is joined to all 2^(n-1) neighbor sets of a new vertex n - 1, and
+    each child adds its parent's count to the first class it is isomorphic
+    to (networkx), or starts a new class with itself as representative.
+    ``graph_classes`` yields the same classes and counts, with other
+    representatives and in another order."""
     level = [((), 1)]
     out = [(1, (), 1)]
     for n in range(2, max_vertices + 1):

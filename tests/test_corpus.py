@@ -91,16 +91,36 @@ class TestIsomorphismClasses:
             list(graph_classes(4))
 
     def test_classes_match_the_unpruned_oracle(self):
-        # orbit pruning keeps every representative and labeled count
+        # canonical augmentation keeps every class of the unpruned
+        # generation exactly once, with its labeled count; representatives
+        # differ, so classes are matched by networkx isomorphism
+        import networkx as nx
+
         from oracles import unpruned_graph_classes
 
-        mine = [(g.n, g.endpoints, copies) for g, copies in graph_classes(6)]
-        assert mine == unpruned_graph_classes(6)
+        def nx_graph(n, endpoints):
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(endpoints)
+            return graph
+
+        unmatched: dict = {}  # (n, sorted degrees) -> [(networkx graph, count)]
+        for n, endpoints, copies in unpruned_graph_classes(6):
+            graph = nx_graph(n, endpoints)
+            unmatched.setdefault((n, tuple(sorted(d for _, d in graph.degree()))), []).append((graph, copies))
+        for g, copies in graph_classes(6):
+            bucket = unmatched.get((g.n, tuple(sorted(g.degrees()))), [])
+            graph = nx_graph(g.n, g.endpoints)
+            matches = [i for i, (other, _) in enumerate(bucket) if nx.is_isomorphic(other, graph)]
+            assert len(matches) == 1, g
+            assert bucket.pop(matches[0])[1] == copies, g
+        assert not any(unmatched.values())
 
     def test_one_labeling_per_orbit_of_the_full_group(self, monkeypatch):
         # the automorphisms found while labeling a class generate its whole
-        # group, |Aut(G)| = n! / copies, so level n labels one neighbor set
-        # per orbit: A000666(n - 1) graphs
+        # group, |Aut(G)| = n! / copies, which the orbits of neighbor sets
+        # and of the new vertex need; a child is labeled only when another
+        # vertex ties with the new one, or later as a parent
         from math import factorial
 
         from hamconn import corpus
@@ -131,7 +151,41 @@ class TestIsomorphismClasses:
 
         monkeypatch.setattr(corpus, "canonical_labeling", counting)
         list(graph_classes(6))
-        assert labeled == {2: 2, 3: 6, 4: 20, 5: 90, 6: 544}
+        assert labeled == {2: 2, 3: 4, 4: 11, 5: 34, 6: 83}
+
+    def test_no_automorphisms_is_caught(self, monkeypatch):
+        # without the groups, orbits are single masks and single vertices:
+        # classes are kept more than once and their counts come out wrong
+        from hamconn.multigraph import canonical_labeling
+
+        monkeypatch.setattr("hamconn.corpus.canonical_labeling", lambda g, **_: canonical_labeling(g))
+        with pytest.raises(LiftFailedError):
+            list(graph_classes(5))
+
+    def test_the_top_level_labels_fewer_children_than_it_decides(self, monkeypatch):
+        # every orbit that passes the claw test is accepted or rejected by
+        # canonical deletion, most of them on invariants alone
+        from hamconn import corpus
+
+        labeled: dict[int, int] = {}
+        decided: dict[int, int] = {}
+
+        def counting_labeling(g, **kwargs):
+            labeled[g.n] = labeled.get(g.n, 0) + 1
+            return canonical_labeling(g, **kwargs)
+
+        def counting_ties(adjacency):
+            decided[len(adjacency)] = decided.get(len(adjacency), 0) + 1
+            return deletion_ties(adjacency)
+
+        canonical_labeling, deletion_ties = corpus.canonical_labeling, corpus._deletion_ties
+        monkeypatch.setattr(corpus, "canonical_labeling", counting_labeling)
+        monkeypatch.setattr(corpus, "_deletion_ties", counting_ties)
+        for top, claw_free in ((6, False), (7, True)):
+            labeled.clear()
+            decided.clear()
+            classes = sum(g.n == top for g, _ in graph_classes(top, claw_free=claw_free))
+            assert labeled[top] < classes <= decided[top]
 
     def test_a_generator_that_is_no_automorphism_is_caught(self, monkeypatch):
         # swapping vertices 0 and 1 is not an automorphism of most graphs on
