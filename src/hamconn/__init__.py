@@ -5,7 +5,6 @@ preimages, and an exhaustive verification harness."""
 from .constructions import petersen, wagner, wagner_counterexample
 from .core import CoreLocation, CoreMap, core, lift_closed_trail, project_vertex
 from .corpus import (
-    CorpusRecord,
     enumerate_multigraph_corpus,
     graph_classes,
     read_corpus_file,

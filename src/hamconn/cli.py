@@ -61,7 +61,7 @@ def _load_graphs(args) -> list[Multigraph]:
         return [NAMED[args.named]()]
     if not args.input:
         raise EncodingError("no input: pass --input FILE or --named NAME")
-    return [record.graph for record in read_corpus_file(args.input, args.format)]
+    return read_corpus_file(args.input, args.format)
 
 
 def _as_simple(g: Multigraph) -> SimpleGraph:
@@ -136,24 +136,26 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(what: str):
-    """An argparse type: an integer of at least 1, else a parse-time error."""
+def _int_at_least(least: int, what: str):
+    """An argparse type: an integer of at least ``least``, else a parse-time
+    error."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"needs at least 1 {what}, got {value}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"needs at least {least} {what}, got {value}")
         return value
 
     return parse
 
 
-_worker_count = _positive_int("worker")
-_pendant_count = _positive_int("pendant edge per vertex")
-_vertex_bound = _positive_int("vertex")
+_worker_count = _int_at_least(1, "worker")
+_pendant_count = _int_at_least(1, "pendant edge per vertex")
+_vertex_bound = _int_at_least(1, "vertex")
+_graph_count = _int_at_least(0, "graphs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="generate random corpora")
     p.add_argument("--kind", choices=("multi", "e3ec", "3ec"), default="multi")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_graph_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-edges", type=int, default=12)
     p.set_defaults(func=cmd_corpus)

@@ -16,15 +16,13 @@ walk is one core edge, and the edges and vertices it collects are its
 expansion.  Core edges are numbered by their smallest original edge, and a
 walk between two core vertices is stored from the lower one.  A walk that
 returns to its start is a loop of the core; it starts with the smaller of
-its two end edges, because a vertex lists its edges by id.  So the whole
-map is independent of the order the vertices are processed in.
+its two end edges, because a vertex lists its edges by id.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import (
     DegenerateCoreError,
@@ -101,21 +99,11 @@ class CoreMap:
             raise LiftFailedError("edge accounting failed: expansions + pendants != all edges")
 
 
-def core(h: Multigraph, *, rng: Optional[random.Random] = None) -> CoreMap:
+def core(h: Multigraph) -> CoreMap:
     """Remove pendant edges to a fixed point, then suppress every degree-2
-    vertex, recording the full back-mapping.
-
-    ``rng`` shuffles the processing order (the result must not depend on it;
-    this exists so order-independence is testable).
-    """
+    vertex, recording the full back-mapping."""
     if not h.is_connected():
         raise DisconnectedGraphError("core is defined for connected multigraphs")
-
-    def ordered(items):
-        items = list(items)
-        if rng is not None:
-            rng.shuffle(items)
-        return items
 
     # Phase 1: iterated pendant-edge removal (the 2-core of the graph).
     alive_edges = set(range(h.edge_count))
@@ -125,7 +113,7 @@ def core(h: Multigraph, *, rng: Optional[random.Random] = None) -> CoreMap:
     changed = True
     while changed:
         changed = False
-        for v in ordered(range(h.n)):
+        for v in range(h.n):
             if degrees[v] != 1:
                 continue
             (e, w) = next(
@@ -148,7 +136,7 @@ def core(h: Multigraph, *, rng: Optional[random.Random] = None) -> CoreMap:
         )
     vertex_image = {v: i for i, v in enumerate(core_vertices)}
     threads = []
-    for s in ordered(core_vertices):
+    for s in core_vertices:
         for e, w in inc[s]:
             if e not in alive_edges:
                 continue

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Union
+from typing import Iterator
 
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError, LiftFailedError
@@ -55,18 +54,9 @@ _CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
 _CLAW_FREE_CLASS_COUNTS = (1, 2, 4, 10, 26, 85, 302, 1285, 6170, 34294)
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
-    """One ingested graph together with where it came from."""
-
-    graph: Multigraph
-    origin: Union[tuple[str, int], int]  # (file, line) or enumeration index
-    encoding: str  # "g6" | "s6" | "el"
-
-
-def read_corpus_file(path: str, fmt: str) -> list[CorpusRecord]:
+def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
     """Decode a corpus file line by line, reporting errors with file/line."""
-    records: list[CorpusRecord] = []
+    graphs: list[Multigraph] = []
     with open(path) as fh:
         text = fh.read()
     if fmt == "el":
@@ -74,7 +64,7 @@ def read_corpus_file(path: str, fmt: str) -> list[CorpusRecord]:
             graph = decode_edgelist(text)
         except EncodingError as exc:
             raise EncodingError(f"{path}: {exc}") from exc
-        return [CorpusRecord(graph, (path, 1), "el")]
+        return [graph]
     decoder = {"g6": decode_graph6, "s6": decode_sparse6}.get(fmt)
     if decoder is None:
         raise EncodingError(f"unknown format {fmt!r}")
@@ -85,8 +75,8 @@ def read_corpus_file(path: str, fmt: str) -> list[CorpusRecord]:
             graph = decoder(line)
         except EncodingError as exc:
             raise EncodingError(f"{path}:{lineno}: {exc}") from exc
-        records.append(CorpusRecord(graph, (path, lineno), fmt))
-    return records
+        graphs.append(graph)
+    return graphs
 
 _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(MAX_ENUMERATION_VERTICES + 1)}
 
@@ -346,9 +336,20 @@ def enumerate_multigraph_corpus(
 # -- random generators -----------------------------------------------------------------
 
 
+def _check_bounds(max_vertices: int, max_edges: int, least_vertices: int, least_edges: int) -> None:
+    """Reject bounds below the smallest graph a generator can return, so
+    that its rejection sampling always ends."""
+    if max_vertices < least_vertices or max_edges < least_edges:
+        raise GraphError(
+            f"needs max_vertices >= {least_vertices} and max_edges >= {least_edges}, "
+            f"got {max_vertices} and {max_edges}"
+        )
+
+
 def random_multigraph(rng: random.Random, max_vertices: int = 8, max_edges: int = 12) -> Multigraph:
     """A random connected loopless multigraph with at least one edge; other
     draws are discarded."""
+    _check_bounds(max_vertices, max_edges, 2, 1)
     while True:
         n = rng.randint(1, max_vertices)
         m = rng.randint(1, max_edges)
@@ -367,6 +368,7 @@ def random_essentially_3ec_multigraph(
     rng: random.Random, max_vertices: int = 7, max_edges: int = 12
 ) -> Multigraph:
     """Rejection-sampled connected, essentially 3-edge-connected multigraph."""
+    _check_bounds(max_vertices, max_edges, 2, 3)
     while True:
         n = rng.randint(2, max_vertices)
         lo = max(n, 3)
@@ -388,6 +390,7 @@ def random_3_edge_connected_multigraph(
     rng: random.Random, max_vertices: int = 8, max_edges: int = 12
 ) -> Multigraph:
     """Rejection-sampled multigraph with edge connectivity at least 3."""
+    _check_bounds(max_vertices, max_edges, 2, 3)
     while True:
         n = rng.randint(2, max_vertices)
         lo = (3 * n + 1) // 2
@@ -409,6 +412,7 @@ def random_connected_multigraph_with_loops(
     rng: random.Random, max_vertices: int = 6, max_edges: int = 12
 ) -> Multigraph:
     """Connected multigraph that may carry loops (for line-graph tests)."""
+    _check_bounds(max_vertices, max_edges, 1, 1)
     while True:
         n = rng.randint(1, max_vertices)
         m = rng.randint(1, max_edges)

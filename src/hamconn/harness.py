@@ -17,6 +17,7 @@ count never changes the result.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -151,18 +152,21 @@ def _merged_report(
     start: float,
     head: Optional[tuple[int, int]] = None,
 ) -> VerificationReport:
-    """Tally the (graph, copies) items in chunks (in a pool when
-    ``workers > 1``) and merge their stage counts and violations in input
-    order into one checked report.  ``head``, when given, holds the
-    ``total`` and ``connected`` counts of the corpus the items were drawn
-    from, and replaces the items' own counts for those two stages."""
+    """Tally the (graph, copies) items in chunks of 64, in a pool of
+    ``workers`` processes capped at one per CPU and one per chunk, and merge
+    their stage counts and violations in input order into one checked
+    report; the worker count never changes the report.  ``head``, when
+    given, holds the ``total`` and ``connected`` counts of the corpus the
+    items were drawn from, and replaces the items' own counts for those two
+    stages."""
     chunk = 64
     jobs = [(items[lo : lo + chunk], hypothesis) for lo in range(0, len(items), chunk)]
-    if workers <= 1:
+    processes = min(workers, os.cpu_count() or 1, len(jobs))
+    if processes <= 1:
         results = [_worker(job) for job in jobs]
     else:
         from multiprocessing import Pool  # here, so one-worker runs never load it
-        with Pool(processes=workers) as pool:
+        with Pool(processes=processes) as pool:
             results = pool.map(_worker, jobs, chunksize=1)
     counts = [0] * 6
     violations: list[Violation] = []

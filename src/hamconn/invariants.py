@@ -348,10 +348,6 @@ def is_essentially_k_edge_connected(h: Multigraph, k: int) -> bool:
     Graphs with no essential cut at all (stars, tiny paths) report True for
     every ``k``.
     """
-    if k <= 1:
-        if not h.is_connected():
-            raise DisconnectedGraphError("essential edge-connectivity needs a connected graph")
-        return True
     return find_essential_cut(h, k) is None
 
 

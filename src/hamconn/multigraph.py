@@ -20,7 +20,7 @@ Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement on vertex bitmasks with automorphism pruning, which shortcuts
 sets of twin vertices.  The automorphisms its search finds are handed to
 callers that ask, so ``corpus`` gets each parent's group for free.
-:func:`find_isomorphism` compares root partitions, then canonical forms.
+:func:`find_isomorphism` compares canonical forms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 
-#: Default vertex cap for canonical labeling and the isomorphism tests built
+#: Vertex cap for canonical labeling and the isomorphism tests built
 #: on it, and so for ``preimage``.  The search is exponential in the worst
 #: case, but at 64 vertices it measured at most 70 ms on large symmetric
 #: inputs (L(K8,8), L(K11), Q6, Paley(61), C64, K64).
@@ -264,7 +264,7 @@ def _root(g: Multigraph) -> tuple[Sequence[int], int, list[int]]:
     when more than ``k`` edges join ``v`` and ``w``, ``rep`` with bit
     ``k * n`` per layer ``k``, and the refined cells of equal loop count."""
     n, rep = g.n, 1
-    if isinstance(g, SimpleGraph) or not isinstance(g, Multigraph):
+    if isinstance(g, SimpleGraph):
         adj, cells = g.adjacency_masks(), [(1 << n) - 1] if n else []
     else:
         rows, loops = [0] * n, [0] * n
@@ -342,12 +342,7 @@ def _relabeled(adj: Sequence[int], rep: int, perm: Sequence[int]) -> tuple[int, 
     return tuple(code)
 
 
-def canonical_labeling(
-    g: Multigraph,
-    *,
-    size_guard: int = ISOMORPHISM_SIZE_GUARD,
-    automorphisms: Optional[list] = None,
-) -> tuple[int, ...]:
+def canonical_labeling(g: Multigraph, *, automorphisms: Optional[list] = None) -> tuple[int, ...]:
     """A relabeling permutation depending only on the isomorphism class:
     ``relabel(a, canonical_labeling(a)) == relabel(b, canonical_labeling(b))``
     whenever ``a`` and ``b`` are isomorphic.
@@ -359,13 +354,12 @@ def canonical_labeling(
     multiplicity to every other vertex), individualizing each member ``v``
     as a cell ``{v}`` ahead of the rest, with only ``{v}`` queued.  A leaf's
     vertices in cell order give the permutation and :func:`_relabeled` the
-    code; the least code wins.  ``g`` may also be any object with ``n`` and
-    ``adjacency_masks()`` of a simple graph.  When ``automorphisms`` is a
-    list, the twin swaps and the maps between leaves with equal codes that
-    pruned the search are appended to it, each mapping ``v`` to its image.
+    code; the least code wins.  When ``automorphisms`` is a list, the twin
+    swaps and the maps between leaves with equal codes that pruned the
+    search are appended to it, each mapping ``v`` to its image.
     """
-    if g.n > size_guard:
-        raise GraphError(f"canonical labeling capped at {size_guard} vertices")
+    if g.n > ISOMORPHISM_SIZE_GUARD:
+        raise GraphError(f"canonical labeling capped at {ISOMORPHISM_SIZE_GUARD} vertices")
     if g.n == 0:
         return ()
     perm, auts = _labeling(*_root(g))
@@ -455,31 +449,17 @@ def _labeling(adj: Sequence[int], rep: int, root: list[int]) -> tuple[tuple[int,
     return tuple(best[1]), auts
 
 
-def find_isomorphism(
-    a: Multigraph, b: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD
-) -> Optional[tuple[int, ...]]:
+def find_isomorphism(a: Multigraph, b: Multigraph) -> Optional[tuple[int, ...]]:
     """A degree- and multiplicity-preserving vertex bijection, or ``None``.
 
     Compares the canonical forms of ``a`` and ``b``; intended for desk-scale
     graphs only, hence the size guard.
     """
-    if a.n > size_guard or b.n > size_guard:
-        raise GraphError(f"isomorphism search capped at {size_guard} vertices")
+    if a.n > ISOMORPHISM_SIZE_GUARD or b.n > ISOMORPHISM_SIZE_GUARD:
+        raise GraphError(f"isomorphism search capped at {ISOMORPHISM_SIZE_GUARD} vertices")
     if a.n != b.n or a.edge_count != b.edge_count:
         return None
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return None
-    # The root partition is isomorphism-invariant: its cell sizes, loop
-    # counts and quotient edge counts reject before either graph is searched.
-    roots = [_root(a), _root(b)]
-    quotients = [
-        [(c.bit_count(), g.multiplicity(v, v), [(adj[v] & d * rep).bit_count() for d in cells])
-         for c in cells for v in [(c & -c).bit_length() - 1]]
-        for g, (adj, rep, cells) in zip((a, b), roots)
-    ]
-    if quotients[0] != quotients[1]:
-        return None
-    perm_a, perm_b = [_labeling(*root)[0] for root in roots]
+    perm_a, perm_b = canonical_labeling(a), canonical_labeling(b)
     if relabel(a, perm_a) != relabel(b, perm_b):
         return None
     inv_b = sorted(range(b.n), key=perm_b.__getitem__)
@@ -498,8 +478,8 @@ def _is_isomorphism(a: Multigraph, b: Multigraph, mapping: Sequence[int]) -> boo
     return tuple(mapped) == b.sorted_edge_multiset()
 
 
-def isomorphic(a: Multigraph, b: Multigraph, *, size_guard: int = ISOMORPHISM_SIZE_GUARD) -> bool:
-    return find_isomorphism(a, b, size_guard=size_guard) is not None
+def isomorphic(a: Multigraph, b: Multigraph) -> bool:
+    return find_isomorphism(a, b) is not None
 
 
 def relabel(g: Multigraph, permutation: Sequence[int]) -> Multigraph:

@@ -79,33 +79,26 @@ def project_edge(cm: CoreMap, e: int) -> int:
 # -- building h_n ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HnConstruction:
+def build_hn(cm: CoreMap, e0_1: int, e0_2: int) -> tuple[Multigraph, int]:
     """The trail-search host ``h_n`` and its prescribed edge ``e_n``, numbered
-    as in step 3 of the module docstring."""
+    as in step 3 of the module docstring: the core when the projected edges
+    coincide; otherwise the core with both projected edges subdivided and
+    the new vertices joined.
 
-    graph: Multigraph
-    e_n: int
-
-
-def build_hn(cm: CoreMap, e0_1: int, e0_2: int) -> HnConstruction:
-    """The core when the projected edges coincide; otherwise the core with
-    both projected edges subdivided and the new vertices joined.
-
-    The result is checked 3-edge-connected.
+    ``h_n`` is checked 3-edge-connected.
     """
     c = cm.core
     c.check_edge(e0_1)
     c.check_edge(e0_2)
     if e0_1 == e0_2:
-        hn = HnConstruction(c, e0_1)
+        h_n, e_n = c, e0_1
     else:
         n = c.n
         sub = c.subdivide(e0_1).subdivide(e0_2)
-        hn = HnConstruction(Multigraph(n + 2, sub.endpoints + ((n, n + 1),)), c.edge_count + 2)
-    if edge_connectivity(hn.graph) < 3:
+        h_n, e_n = Multigraph(n + 2, sub.endpoints + ((n, n + 1),)), c.edge_count + 2
+    if edge_connectivity(h_n) < 3:
         raise LiftFailedError("h_n must be 3-edge-connected when built from a valid core")
-    return hn
+    return h_n, e_n
 
 
 def pick_z(cm: CoreMap, f_edges: tuple[int, ...]) -> frozenset[int]:
@@ -139,16 +132,9 @@ class PipelineContext:
     e2: int
     e0_1: int
     e0_2: int
-    hn: HnConstruction
+    h_n: Multigraph
+    e_n: int
     z: frozenset[int]
-
-    @property
-    def h_n(self) -> Multigraph:
-        return self.hn.graph
-
-    @property
-    def e_n(self) -> int:
-        return self.hn.e_n
 
 
 # -- terminal attachments -----------------------------------------------------------
@@ -421,14 +407,14 @@ def run_pipeline(
         )
     e0_1 = project_edge(cm, e1)
     e0_2 = project_edge(cm, e2)
-    hn = build_hn(cm, e0_1, e0_2)
+    h_n, e_n = build_hn(cm, e0_1, e0_2)
     z = pick_z(cm, f)
-    trail = find_closed_trail_through(hn.graph, sorted(z), hn.e_n)
+    trail = find_closed_trail_through(h_n, sorted(z), e_n)
     if trail is None:
         raise TrailNotFoundError(
             "no closed trail through e_n visiting z; h_n should be 3-edge-connected with |z| <= 6"
         )
-    ctx = PipelineContext(g, h, cm, e1, e2, e0_1, e0_2, hn, z)
+    ctx = PipelineContext(g, h, cm, e1, e2, e0_1, e0_2, h_n, e_n, z)
     witness = idt_from_trail(ctx, trail)
     path = idt_to_ham_path(lgm, witness)
     _check_ham_path(g, path, u, v)

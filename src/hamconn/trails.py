@@ -187,6 +187,19 @@ def _closed_trail(h: Multigraph, first_edge: int, **options) -> Optional[Trail]:
     return trail
 
 
+def _least_edge_closed_trail(h: Multigraph, **options) -> Optional[Trail]:
+    """The first closed trail found whose least edge id is a non-loop edge
+    ``e``, trying each ``e`` in id order, or ``None``."""
+    for e, (u, v) in enumerate(h.endpoints):
+        if u == v:
+            continue
+        # Canonicalization: edges below e are banned, so e is the least.
+        trail = _closed_trail(h, e, banned=(1 << e) - 1, **options)
+        if trail is not None:
+            return trail
+    return None
+
+
 def find_closed_trail_through(
     h: Multigraph, required_vertices: Sequence[int], through_edge: int
 ) -> Optional[Trail]:
@@ -211,15 +224,7 @@ def find_spanning_closed_trail(h: Multigraph) -> Optional[Trail]:
         return Trail(h, (0,), ())
     if not h.is_connected():
         return None
-    all_vertices = (1 << h.n) - 1
-    for e, (u, v) in enumerate(h.endpoints):
-        if u == v:
-            continue
-        # Canonicalization: e is the minimum edge id on the trail.
-        trail = _closed_trail(h, e, banned=(1 << e) - 1, required_mask=all_vertices)
-        if trail is not None:
-            return trail
-    return None
+    return _least_edge_closed_trail(h, required_mask=(1 << h.n) - 1)
 
 
 def find_dct(h: Multigraph) -> Optional[Trail]:
@@ -234,13 +239,7 @@ def find_dct(h: Multigraph) -> Optional[Trail]:
         trivial = Trail(h, (v,), ())
         if trivial.dominates_host_edges():
             return trivial
-    for e, (u, v) in enumerate(h.endpoints):
-        if u == v:
-            continue
-        trail = _closed_trail(h, e, banned=(1 << e) - 1, need_domination=True)
-        if trail is not None:
-            return trail
-    return None
+    return _least_edge_closed_trail(h, need_domination=True)
 
 
 def find_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:

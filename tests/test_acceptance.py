@@ -240,10 +240,6 @@ def test_criterion_10_core_properties():
         except DegenerateCoreError:
             continue
         done += 1
-        for shuffle_seed in range(10):
-            again = core(h, rng=random.Random(shuffle_seed))
-            assert again.core == cm.core
-            assert again.pendant_support == cm.pendant_support
         assert edge_connectivity(cm.core) >= 3
         trail = find_spanning_closed_trail(cm.core)
         if trail is not None:
@@ -253,6 +249,6 @@ def test_criterion_10_core_properties():
             assert vertices_dominate_edges(h, dct.vertex_set())
     _report(
         10,
-        f"500 cores order-independent and 3-edge-connected; {lifted} spanning trails lifted to DCTs",
+        f"500 cores 3-edge-connected; {lifted} spanning trails lifted to DCTs",
         started,
     )

@@ -172,3 +172,36 @@ class TestCorpusCommand:
         assert main(["corpus", "--kind", "e3ec", "--count", "3", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
         assert len(first.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "kind, max_edges", [("multi", "0"), ("multi", "-1"), ("e3ec", "2"), ("3ec", "2")]
+    )
+    def test_unmeetable_edge_bound_is_an_input_error(self, kind, max_edges):
+        # in a child process with a timeout, because the rejection samplers
+        # used to draw forever on these bounds
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["corpus", "--kind", kind, "--max-edges", max_edges]
+        code = f"from hamconn.cli import main; raise SystemExit(main({args!r}))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("count", ["-1", "x"])
+    def test_count_rejected_at_parse_time(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
+    def test_zero_count_prints_nothing(self, capsys):
+        assert main(["corpus", "--count", "0"]) == 0
+        assert capsys.readouterr().out == ""

@@ -67,20 +67,8 @@ class TestCore:
         assert len(loops) == 1
         assert sorted(cm.edge_expansion[loops[0]]) == [6, 7]
 
-    def test_order_independence(self, k4_with_pendants, subdivided_k4):
-        # the triangle 0-1-2 hangs off vertex 0: a loop core edge
-        loop_core = Multigraph(4, [(0, 1), (0, 2), (0, 3), (0, 3), (0, 3), (1, 2)])
-        for h in (k4_with_pendants, subdivided_k4, loop_core):
-            base = core(h)
-            for seed in range(10):
-                shuffled = core(h, rng=random.Random(seed))
-                assert shuffled.core == base.core
-                assert shuffled.pendant_support == base.pendant_support
-                assert shuffled.edge_expansion == base.edge_expansion
-                assert shuffled.expansion_paths == base.expansion_paths
-
     def test_walk_properties_on_corpus(self, equivalence_corpus):
-        # the walk's invariants, and order independence of every field
+        # the walk's invariants
         for h in _with_pendant_tails(equivalence_corpus):
             try:
                 cm = core(h)
@@ -95,12 +83,6 @@ class TestCore:
             assert all(two_core[x] == 2 for x in cm.suppressed_location)
             for ce, epath in cm.edge_expansion.items():
                 assert all(cm.edge_owner[e] == ce for e in epath)
-            for seed in range(10):
-                shuffled = core(h, rng=random.Random(seed))
-                assert shuffled.core == cm.core
-                assert shuffled.pendant_support == cm.pendant_support
-                assert shuffled.edge_expansion == cm.edge_expansion
-                assert shuffled.expansion_paths == cm.expansion_paths
 
     def test_pendant_support_is_the_end_that_remains(self, equivalence_corpus):
         for h in _with_pendant_tails(equivalence_corpus):

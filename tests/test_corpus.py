@@ -306,10 +306,8 @@ class TestCorpusRecords:
             + encode_graph6(complete_graph(4))
             + "\n"
         )
-        records = read_corpus_file(str(path), "g6")
-        assert [r.graph.n for r in records] == [3, 4]
-        assert records[0].origin == (str(path), 2)
-        assert records[1].origin == (str(path), 4)
+        # the comment and the blank line are skipped
+        assert read_corpus_file(str(path), "g6") == [complete_graph(3), complete_graph(4)]
 
     def test_error_carries_file_and_line(self, tmp_path):
         from hamconn.corpus import read_corpus_file
@@ -346,3 +344,38 @@ class TestRandomGenerators:
             h = random_3_edge_connected_multigraph(rng)
             assert edge_connectivity(h) >= 3
             assert h.edge_count <= 12
+
+    @pytest.mark.parametrize(
+        "make, max_vertices, max_edges",
+        [
+            ("random_multigraph", 8, 0),
+            ("random_multigraph", 1, 12),
+            ("random_essentially_3ec_multigraph", 7, 2),
+            ("random_essentially_3ec_multigraph", 1, 12),
+            ("random_3_edge_connected_multigraph", 8, 2),
+            ("random_3_edge_connected_multigraph", 1, 12),
+            ("random_connected_multigraph_with_loops", 6, 0),
+            ("random_connected_multigraph_with_loops", 0, 12),
+        ],
+    )
+    def test_unmeetable_bounds_rejected(self, make, max_vertices, max_edges):
+        # rejection sampling would draw forever (or randint would fail)
+        from hamconn import corpus
+
+        with pytest.raises(GraphError):
+            getattr(corpus, make)(random.Random(0), max_vertices=max_vertices, max_edges=max_edges)
+
+    @pytest.mark.parametrize(
+        "make, max_vertices, max_edges",
+        [
+            ("random_multigraph", 2, 1),
+            ("random_essentially_3ec_multigraph", 2, 3),
+            ("random_3_edge_connected_multigraph", 2, 3),
+            ("random_connected_multigraph_with_loops", 1, 1),
+        ],
+    )
+    def test_least_bounds_accepted(self, make, max_vertices, max_edges):
+        from hamconn import corpus
+
+        h = getattr(corpus, make)(random.Random(0), max_vertices=max_vertices, max_edges=max_edges)
+        assert h.n <= max_vertices and 1 <= h.edge_count <= max_edges

@@ -36,6 +36,42 @@ class TestVerifyEnumerated:
         assert single.stage_counts == dual.stage_counts
         assert single.violations == dual.violations
 
+    def test_pool_is_capped_by_cpus_and_chunks(self, monkeypatch):
+        # a fake pool records its size and maps serially, so no process starts
+        import multiprocessing
+        import os
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = verify_theorem_enumerated(7, "thm1")
+        capped = verify_theorem_enumerated(7, "thm1", workers=10**6)
+        assert sizes == [3]
+        assert capped.stage_counts == serial.stage_counts
+        assert capped.violations == serial.violations
+        # one chunk, or none, runs without a pool
+        verify_theorem_graphs([cycle_graph(k) for k in range(3, 8)], "thm1", workers=10**6)
+        empty = verify_theorem_graphs([], "thm1", workers=10**6)
+        assert all(count == 0 for _, count in empty.stage_counts)
+        # an unknown CPU count means one process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        verify_theorem_enumerated(7, "thm1", workers=10**6)
+        assert sizes == [3]
+
     @pytest.mark.parametrize("hypothesis", ["thm1", "ageev"])
     def test_classes_match_the_labeled_scan(self, hypothesis):
         by_class = verify_theorem_enumerated(6, hypothesis)

@@ -82,29 +82,29 @@ class TestProjectEdge:
 
 class TestBuildHn:
     def test_equal_projections_reuse_core(self, k4p_core):
-        hn = build_hn(k4p_core, 2, 2)
-        assert hn.graph == k4p_core.core and hn.e_n == 2
+        h_n, e_n = build_hn(k4p_core, 2, 2)
+        assert h_n == k4p_core.core and e_n == 2
 
     def test_distinct_projections(self, k4p_core):
         # subdividing two of K4's six edges gives 8, plus the joining edge: 9
-        hn = build_hn(k4p_core, 0, 5)
-        assert hn.graph.n == 6 and hn.graph.edge_count == 9
-        assert edge_connectivity(hn.graph) >= 3
-        assert hn.graph.endpoints[hn.e_n] == (4, 5)
+        h_n, e_n = build_hn(k4p_core, 0, 5)
+        assert h_n.n == 6 and h_n.edge_count == 9
+        assert edge_connectivity(h_n) >= 3
+        assert h_n.endpoints[e_n] == (4, 5)
 
     def test_adjacent_projections(self, k4p_core):
-        hn = build_hn(k4p_core, 0, 1)
-        assert hn.graph.n == 6 and hn.graph.edge_count == 9
-        assert edge_connectivity(hn.graph) >= 3
+        h_n, _ = build_hn(k4p_core, 0, 1)
+        assert h_n.n == 6 and h_n.edge_count == 9
+        assert edge_connectivity(h_n) >= 3
 
     def test_graph_is_two_subdivisions_plus_joining_edge(self, k4p_core):
         c = k4p_core.core
         for a, b in itertools.permutations(range(c.edge_count), 2):
-            hn = build_hn(k4p_core, a, b)
+            h_n, e_n = build_hn(k4p_core, a, b)
             sub = c.subdivide(a).subdivide(b)
-            assert hn.graph.n == c.n + 2
-            assert hn.graph.endpoints == sub.endpoints + ((c.n, c.n + 1),)
-            assert hn.e_n == c.edge_count + 2
+            assert h_n.n == c.n + 2
+            assert h_n.endpoints == sub.endpoints + ((c.n, c.n + 1),)
+            assert e_n == c.edge_count + 2
 
 
 class TestPickZ:
