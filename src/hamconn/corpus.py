@@ -43,7 +43,14 @@ from typing import Iterator
 from .encoding import EncodingError, decode_edgelist, decode_graph6, decode_sparse6
 from .errors import GraphError, LiftFailedError
 from .invariants import edge_connectivity, is_essentially_k_edge_connected
-from .multigraph import Multigraph, SimpleGraph, _is_isomorphism, _mask_vertices, canonical_labeling
+from .multigraph import (
+    ISOMORPHISM_SIZE_GUARD,
+    Multigraph,
+    SimpleGraph,
+    _is_isomorphism,
+    _mask_vertices,
+    canonical_labeling,
+)
 
 MAX_ENUMERATION_VERTICES = 8
 MAX_CLAW_FREE_VERTICES = 10
@@ -338,11 +345,13 @@ def enumerate_multigraph_corpus(
 
 def _check_bounds(max_vertices: int, max_edges: int, least_vertices: int, least_edges: int) -> None:
     """Reject bounds below the smallest graph a generator can return, so
-    that its rejection sampling always ends."""
-    if max_vertices < least_vertices or max_edges < least_edges:
+    that its rejection sampling always ends, and edge bounds above
+    ``ISOMORPHISM_SIZE_GUARD``, whose line graphs ``preimage`` refuses anyway,
+    before an edge list of that size is drawn."""
+    if not (max_vertices >= least_vertices and least_edges <= max_edges <= ISOMORPHISM_SIZE_GUARD):
         raise GraphError(
-            f"needs max_vertices >= {least_vertices} and max_edges >= {least_edges}, "
-            f"got {max_vertices} and {max_edges}"
+            f"needs max_vertices >= {least_vertices} and {least_edges} <= max_edges <= "
+            f"{ISOMORPHISM_SIZE_GUARD}, got {max_vertices} and {max_edges}"
         )
 
 

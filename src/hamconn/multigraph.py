@@ -171,11 +171,6 @@ class Multigraph:
         self.check_vertex(v)
         return tuple(sorted({w for _, w in self.incidence()[v] if w != v}))
 
-    def multiplicity(self, u: int, v: int) -> int:
-        """Number of edges joining ``u`` and ``v`` (loop count for ``u == v``)."""
-        pair = (u, v) if u <= v else (v, u)
-        return sum(1 for p in self.endpoints if p == pair)
-
     # -- structural queries ------------------------------------------------
 
     def is_connected(self) -> bool:

@@ -2,7 +2,7 @@ import pytest
 
 from hamconn import cli
 from hamconn.cli import main
-from hamconn.encoding import encode_graph6
+from hamconn.encoding import decode_sparse6, encode_graph6
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import complete_graph, star_graph
 
@@ -194,6 +194,17 @@ class TestCorpusCommand:
         assert done.returncode == 2, done.stderr
         assert done.stdout == ""
         assert done.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["multi", "e3ec", "3ec"])
+    def test_edge_bound_capped_at_the_isomorphism_guard(self, kind, capsys):
+        # a larger H has a line graph that preimage refuses; the cap is
+        # checked before an edge list of that size is drawn
+        assert main(["corpus", "--kind", kind, "--max-edges", "65"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert main(["corpus", "--kind", kind, "--max-edges", "64", "--count", "10"]) == 0
+        graphs = [decode_sparse6(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(graphs) == 10 and all(h.edge_count <= 64 for h in graphs)
 
     @pytest.mark.parametrize("count", ["-1", "x"])
     def test_count_rejected_at_parse_time(self, count, capsys):

@@ -272,7 +272,7 @@ class TestMultigraphCorpus:
             assert 3 <= h.edge_count <= 6
             assert h.n <= 4
             assert not any(u == v for u, v in h.endpoints)
-            assert all(h.multiplicity(u, v) <= 3 for u, v in h.endpoints)
+            assert all(h.endpoints.count(pair) <= 3 for pair in h.endpoints)
         assert seen > 50
 
     def test_contains_every_small_class(self):
@@ -356,10 +356,15 @@ class TestRandomGenerators:
             ("random_3_edge_connected_multigraph", 1, 12),
             ("random_connected_multigraph_with_loops", 6, 0),
             ("random_connected_multigraph_with_loops", 0, 12),
+            ("random_multigraph", 8, 65),
+            ("random_essentially_3ec_multigraph", 7, 65),
+            ("random_3_edge_connected_multigraph", 8, 65),
+            ("random_connected_multigraph_with_loops", 6, 65),
         ],
     )
     def test_unmeetable_bounds_rejected(self, make, max_vertices, max_edges):
-        # rejection sampling would draw forever (or randint would fail)
+        # rejection sampling would draw forever (or randint would fail), and
+        # more than ISOMORPHISM_SIZE_GUARD edges give an H preimage refuses
         from hamconn import corpus
 
         with pytest.raises(GraphError):
@@ -372,6 +377,8 @@ class TestRandomGenerators:
             ("random_essentially_3ec_multigraph", 2, 3),
             ("random_3_edge_connected_multigraph", 2, 3),
             ("random_connected_multigraph_with_loops", 1, 1),
+            ("random_multigraph", 8, 64),
+            ("random_connected_multigraph_with_loops", 6, 64),
         ],
     )
     def test_least_bounds_accepted(self, make, max_vertices, max_edges):

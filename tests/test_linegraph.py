@@ -159,17 +159,29 @@ class TestPreimageProperties:
         assert pendant_edges(back) == set()
 
     def test_determinism_under_relabeling(self):
+        # The preimage may depend on neither the vertex labels nor the edge
+        # order of the input.  ``order_sensitive`` in colex edge order once
+        # gave a preimage not isomorphic to the one for its own edge order.
         rng = random.Random(26)
         ambiguous = line_graph(
             Multigraph(4, [(0, 1), (2, 3), (0, 2), (1, 2), (2, 3), (0, 2), (1, 2), (0, 3)])
         ).target
-        for base in (line_graph(complete_graph(4)).target, ambiguous):
+        order_sensitive = line_graph(
+            Multigraph(4, [(0, 1), (2, 3), (2, 3), (0, 3), (1, 3), (0, 3), (1, 2)])
+        ).target
+        colex = SimpleGraph(
+            order_sensitive.n, sorted(order_sensitive.endpoints, key=lambda e: (e[1], e[0]))
+        )
+        assert colex == order_sensitive
+        assert isomorphic(preimage(colex), preimage(order_sensitive))
+        for base in (line_graph(complete_graph(4)).target, ambiguous, order_sensitive):
             h0 = preimage(base)
             for _ in range(6):
                 perm = list(range(base.n))
                 rng.shuffle(perm)
-                g2 = SimpleGraph(base.n, relabel(base, perm).endpoints)
-                assert isomorphic(preimage(g2), h0)
+                edges = list(relabel(base, perm).endpoints)
+                rng.shuffle(edges)
+                assert isomorphic(preimage(SimpleGraph(base.n, edges)), h0)
 
     def test_small_uniqueness_cases(self):
         # K1 / K2 / P3 / K3 resolve per the pendant rule
@@ -177,3 +189,21 @@ class TestPreimageProperties:
         assert isomorphic(preimage(complete_graph(2)), path_graph(3))
         assert isomorphic(preimage(path_graph(3)), path_graph(4))
         assert isomorphic(preimage(complete_graph(3)), star_graph(3))
+
+
+def test_recognition_over_all_connected_classes(graph_classes_8):
+    # Exhaustive over the 12,113 connected classes on n <= 8: the number of
+    # line graphs of multigraphs per n, an exact roundtrip for each, and
+    # pendant edges exactly at the simplicial vertices.
+    found = {n: 0 for n in range(1, 9)}
+    for g, _ in graph_classes_8:
+        if not g.is_connected():
+            continue
+        try:
+            h = preimage(g)
+        except NotALineGraphOfMultigraphError:
+            continue
+        found[g.n] += 1
+        assert line_graph(h).target == g, g
+        assert pendant_edges(h) == set(simplicial_vertices(g)), g
+    assert found == {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 46, 7: 153, 8: 562}

@@ -77,7 +77,7 @@ class TestSubdivide:
         h = Multigraph(1, [(0, 0)]).subdivide(0)
         # degree accounting: both vertices end with degree 2
         assert h.degrees() == (2, 2)
-        assert h.multiplicity(0, 1) == 2
+        assert h.endpoints.count((0, 1)) == 2
 
     def test_edge_map_tracks_survivors(self, k4):
         # K4's edge 2 is (0, 3): its id goes to (0, 4), and (3, 4) is appended
