@@ -42,7 +42,7 @@ from .invariants import (
     simplicial_vertices,
     vertex_connectivity,
 )
-from .linegraph import LineGraphMap, is_line_graph_of_multigraph, line_graph, preimage
+from .linegraph import is_line_graph_of_multigraph, line_graph, preimage
 from .multigraph import (
     Multigraph,
     SimpleGraph,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .constructions import petersen, wagner
@@ -56,12 +57,22 @@ EXIT_INTERNAL = 3
 NAMED = {"petersen": petersen, "wagner": wagner}
 
 
+@contextmanager
+def _user_file(path: str):
+    """Report an ``OSError`` on a file the user named as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise EncodingError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load_graphs(args) -> list[Multigraph]:
     if getattr(args, "named", None):
         return [NAMED[args.named]()]
     if not args.input:
         raise EncodingError("no input: pass --input FILE or --named NAME")
-    return read_corpus_file(args.input, args.format)
+    with _user_file(args.input):
+        return read_corpus_file(args.input, args.format)
 
 
 def _as_simple(g: Multigraph) -> SimpleGraph:
@@ -78,7 +89,8 @@ def cmd_verify(args) -> int:
         report = verify_theorem_enumerated(args.n, args.hypothesis, workers=args.workers)
     print(report.format())
     if args.emit_witnesses:
-        write_witnesses(report, args.emit_witnesses)
+        with _user_file(args.emit_witnesses):
+            write_witnesses(report, args.emit_witnesses)
     return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
@@ -92,6 +104,8 @@ def cmd_props(args) -> int:
 
 def cmd_pipeline(args) -> int:
     graphs = _load_graphs(args)
+    if not graphs:
+        raise EncodingError(f"{args.input}: no graph in the file")
     g = _as_simple(graphs[0])
     d = dominating_set(g, 3)
     if d is None:
@@ -117,7 +131,7 @@ def cmd_counterexample(args) -> int:
     print("graph6(g):", encode_graph6(report.graph))
     print("sparse6(h):", encode_sparse6(report.source))
     if args.emit:
-        with open(args.emit, "w") as fh:
+        with _user_file(args.emit), open(args.emit, "w") as fh:
             fh.write("# sharpness counterexample: line graph g, then source h\n")
             fh.write(encode_edgelist(report.graph))
             fh.write(encode_edgelist(report.source))
@@ -214,7 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EncodingError, FileNotFoundError) as exc:
+    except EncodingError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LiftFailedError as exc:

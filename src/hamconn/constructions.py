@@ -46,5 +46,5 @@ def wagner_counterexample(pendants_per_vertex: int = 1) -> tuple[SimpleGraph, Mu
             edges.append((v, n))
             n += 1
     h = Multigraph(n, edges)
-    g = line_graph(h).target
+    g = line_graph(h)
     return g, h

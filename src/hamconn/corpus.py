@@ -65,7 +65,10 @@ def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
     """Decode a corpus file line by line, reporting errors with file/line."""
     graphs: list[Multigraph] = []
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from exc
     if fmt == "el":
         try:
             graph = decode_edgelist(text)

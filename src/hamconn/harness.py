@@ -34,7 +34,7 @@ from .invariants import (
     is_k_connected,
     vertex_connectivity,
 )
-from .linegraph import line_graph, preimage
+from .linegraph import preimage
 from .multigraph import Multigraph, SimpleGraph
 from .reduction import missing_idt_pair
 from .trails import (
@@ -273,7 +273,7 @@ def property_table(g: Multigraph) -> list[tuple[str, object]]:
         if g.n >= 2:
             # A line graph is decided on its preimage, any other graph directly.
             if h is not None and g.n >= 3:
-                pair = missing_idt_pair(line_graph(h))
+                pair = missing_idt_pair(h)
             else:
                 pair = missing_hamiltonian_pair(g)
             rows.append(("hamiltonian-connected", pair is None))
@@ -340,7 +340,7 @@ def counterexample_report(pendants_per_vertex: int = 1) -> CounterexampleReport:
     vertex pair of g.
     """
     g, h = wagner_counterexample(pendants_per_vertex)
-    pair = missing_idt_pair(line_graph(h))
+    pair = missing_idt_pair(h)
     return CounterexampleReport(
         graph=g,
         source=h,

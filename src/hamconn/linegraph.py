@@ -19,42 +19,19 @@ their vertex labels and edge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DisconnectedGraphError, LiftFailedError, NotALineGraphOfMultigraphError
 from .invariants import find_claw, simplicial_vertices
 from .multigraph import Multigraph, SimpleGraph, _mask_vertices, canonical_labeling, relabel
 
 
-@dataclass(frozen=True)
-class LineGraphMap:
-    """The line graph of ``source`` with the edge-to-vertex correspondence.
-
-    Edge ``i`` of the source corresponds to vertex ``i`` of the target; two
-    target vertices are adjacent exactly when the source edges share at
-    least one endpoint.
-    """
-
-    source: Multigraph
-    target: SimpleGraph
-
-    def validate(self) -> None:
-        src, tgt = self.source, self.target
-        if tgt.n != src.edge_count:
-            raise LiftFailedError("line graph must have one vertex per source edge")
-        for i in range(src.edge_count):
-            for j in range(i + 1, src.edge_count):
-                share = bool(set(src.endpoints[i]) & set(src.endpoints[j]))
-                if share != tgt.has_edge(i, j):
-                    raise LiftFailedError(f"adjacency of {i}, {j} disagrees with shared endpoints")
-
-
-def line_graph(h: Multigraph) -> LineGraphMap:
+def line_graph(h: Multigraph) -> SimpleGraph:
     """The line graph of a multigraph.
 
-    Parallel edges become distinct adjacent vertices; a loop shares its
-    vertex with every other edge there, so its line-graph vertex is adjacent
-    to all of them.  The result is always simple.
+    Vertex ``i`` of the result is edge ``i`` of ``h``, and two vertices are
+    adjacent exactly when their edges share at least one endpoint.  Parallel
+    edges become distinct adjacent vertices; a loop shares its vertex with
+    every other edge there, so its vertex is adjacent to all of them.  The
+    result is always simple.
     """
     inc = h.edge_masks()
     edges = []
@@ -65,7 +42,7 @@ def line_graph(h: Multigraph) -> LineGraphMap:
             low = later & -later
             later ^= low
             edges.append((i, i + low.bit_length()))
-    return LineGraphMap(h, SimpleGraph(h.edge_count, edges))
+    return SimpleGraph(h.edge_count, edges)
 
 
 def _place(q: int, room: list[int], rest: list[int]) -> tuple[list[int], list[int]] | None:
@@ -126,7 +103,7 @@ def preimage(g: SimpleGraph) -> Multigraph:
     the simplicial vertices of ``g``.
 
     The edge ids of the result equal the vertex ids of ``g``, so
-    ``line_graph(preimage(g)).target == g`` holds exactly, not merely up to
+    ``line_graph(preimage(g)) == g`` holds exactly, not merely up to
     isomorphism.  The cover search runs on a canonical relabeling of ``g``:
     it covers the least uncovered pair of canonical labels next, larger
     cliques first, and drops a clique that leaves a member with no slot but
@@ -160,8 +137,7 @@ def preimage(g: SimpleGraph) -> Multigraph:
             pair.append(leaves)
             leaves += 1
     h = Multigraph(leaves, [ends[perm[v]] for v in range(g.n)])
-    check = line_graph(h)
-    if check.target != g:
+    if line_graph(h) != g:
         raise LiftFailedError("preimage construction failed its roundtrip check")
     return h
 

@@ -16,7 +16,9 @@ for 3-connected claw-free line graphs with small domination number:
    endpoints ``z`` of the projected edges;
 5. find a closed trail of ``h_n`` through the new edge visiting ``z``;
 6. convert that trail into an internally dominating trail of H with the
-   prescribed terminal edges, and then into a hamiltonian path of g.
+   prescribed terminal edges, and then into a hamiltonian path of g;
+   ``preimage`` numbers the edges of H as the vertices of g, so g itself
+   is L(H) and the path is built on it.
 
 Every construction step is revalidated; a failed validation raises
 ``LiftFailedError`` and is treated as a bug, never silently accepted.
@@ -46,7 +48,7 @@ from .errors import (
     TrailNotFoundError,
 )
 from .invariants import DominatingSet, edge_connectivity, edges_dominate, find_essential_cut
-from .linegraph import LineGraphMap, line_graph, preimage
+from .linegraph import line_graph, preimage
 from .multigraph import Multigraph, SimpleGraph
 from .trails import IdtWitness, Trail, _check_order, find_closed_trail_through, find_idt
 
@@ -123,10 +125,9 @@ def pick_z(cm: CoreMap, f_edges: tuple[int, ...]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Everything the trail-to-IDT conversion needs to look at."""
+    """Everything the trail-to-IDT conversion needs to look at; H is
+    ``cm.original``."""
 
-    g: SimpleGraph
-    h: Multigraph
     cm: CoreMap
     e1: int
     e2: int
@@ -255,7 +256,7 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
                 edges = pfe + me + ple[::-1]
                 if first is att2:
                     verts, edges = verts[::-1], edges[::-1]
-                witness = IdtWitness(Trail(ctx.h, verts, edges), ctx.e1, ctx.e2)
+                witness = IdtWitness(Trail(cm.original, verts, edges), ctx.e1, ctx.e2)
                 try:
                     witness.validate()
                 except GraphError:
@@ -267,16 +268,17 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
 # -- IDT to hamiltonian path -----------------------------------------------------------
 
 
-def idt_to_ham_path(lgm: LineGraphMap, witness: IdtWitness) -> Trail:
+def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
     """Order the trail's edges and insert each dominated non-trail edge next
     to an interior vertex it touches; the result is a hamiltonian path of
-    the line graph between the terminal edges' vertices."""
-    h, g = lgm.source, lgm.target
+    the line graph ``g`` of the trail's host H between the terminal edges'
+    vertices (vertex i of ``g`` is edge i of H)."""
+    trail = witness.trail
+    h = trail.host
     if h.edge_count < 3:
         raise GraphError("the edge-ordering construction needs at least 3 edges")
     witness.validate()
-    trail = witness.trail
-    if trail.host != h:
+    if g.n != h.edge_count:
         raise LiftFailedError("witness does not live in the line graph's source")
     on_trail = set(trail.edges)
     inserts: dict[int, list[int]] = {}
@@ -307,27 +309,31 @@ def idt_to_ham_path(lgm: LineGraphMap, witness: IdtWitness) -> Trail:
     return path
 
 
-def missing_idt_pair(lgm: LineGraphMap) -> Optional[tuple[int, int]]:
-    """The first vertex pair of ``lgm.target`` without a hamiltonian path, or
-    ``None``, decided by searching the source multigraph H.
+def missing_idt_pair(h: Multigraph) -> Optional[tuple[int, int]]:
+    """The first vertex pair of the line graph L(H) of ``h`` without a
+    hamiltonian path, or ``None``, decided by searching H.
 
     The edge pairs ``e1 < e2`` of H are walked in lexicographic order; the
     first pair without an internally dominating trail is the answer.  Every
-    trail found becomes a hamiltonian path of the line graph, validated
-    there.  Vertex i of the line graph is edge i of H, so the pair is the
-    one ``missing_hamiltonian_pair(lgm.target)`` returns.  Like
+    trail found becomes a hamiltonian path of L(H), validated there.
+    Vertex i of L(H) is edge i of H, so the pair is the one
+    ``missing_hamiltonian_pair(line_graph(h))`` returns.  Like
     ``idt_to_ham_path``, it needs at least 3 edges.
     """
-    h = lgm.source
     if h.edge_count < 3:
         raise GraphError("the IDT census needs at least 3 edges")
-    # A negative answer rests on the equivalence, so the map must be exact.
-    lgm.validate()
+    g = line_graph(h)
+    # A negative answer rests on the equivalence, so L(H) must be exact.
+    if g.n != h.edge_count:
+        raise LiftFailedError("line graph must have one vertex per source edge")
+    for e1, e2 in itertools.combinations(range(h.edge_count), 2):
+        if g.has_edge(e1, e2) != bool(set(h.endpoints[e1]) & set(h.endpoints[e2])):
+            raise LiftFailedError(f"adjacency of {e1}, {e2} disagrees with shared endpoints")
     for e1, e2 in itertools.combinations(range(h.edge_count), 2):
         witness = find_idt(h, e1, e2)
         if witness is None:
             return (e1, e2)
-        _check_ham_path(lgm.target, idt_to_ham_path(lgm, witness), e1, e2)
+        _check_ham_path(g, idt_to_ham_path(g, witness), e1, e2)
     return None
 
 
@@ -336,10 +342,9 @@ def missing_idt_pair(lgm: LineGraphMap) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """A successful pipeline execution with its intermediate artifacts."""
+    """A successful pipeline execution with its intermediate artifacts; the
+    preimage H is ``idt.trail.host``."""
 
-    graph: SimpleGraph
-    source: Multigraph
     idt: IdtWitness
     path: Trail
     context: Optional[PipelineContext]
@@ -380,9 +385,6 @@ def run_pipeline(
     if len(dominating.vertices) > 3:
         raise GraphError("the pipeline requires a dominating set of size at most 3")
     h = preimage(g)
-    lgm = line_graph(h)
-    if lgm.target != g:
-        raise LiftFailedError("preimage did not reproduce the input under the line graph")
     e1, e2 = u, v
     f = tuple(sorted(dominating.vertices))
     if not edges_dominate(h, f):
@@ -393,9 +395,9 @@ def run_pipeline(
         witness = _direct_idt(h, e1, e2)
         if witness is None:
             raise
-        path = idt_to_ham_path(lgm, witness)
+        path = idt_to_ham_path(g, witness)
         _check_ham_path(g, path, u, v)
-        return PipelineRun(g, h, witness, path, None)
+        return PipelineRun(witness, path, None)
     cut = find_essential_cut(h, 3)
     if cut is not None:
         raise NotEssentially3EdgeConnectedError(
@@ -414,11 +416,11 @@ def run_pipeline(
         raise TrailNotFoundError(
             "no closed trail through e_n visiting z; h_n should be 3-edge-connected with |z| <= 6"
         )
-    ctx = PipelineContext(g, h, cm, e1, e2, e0_1, e0_2, h_n, e_n, z)
+    ctx = PipelineContext(cm, e1, e2, e0_1, e0_2, h_n, e_n, z)
     witness = idt_from_trail(ctx, trail)
-    path = idt_to_ham_path(lgm, witness)
+    path = idt_to_ham_path(g, witness)
     _check_ham_path(g, path, u, v)
-    return PipelineRun(g, h, witness, path, ctx)
+    return PipelineRun(witness, path, ctx)
 
 
 def _check_ham_path(g: SimpleGraph, path: Trail, u: int, v: int) -> None:

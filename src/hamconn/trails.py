@@ -92,11 +92,8 @@ class IdtWitness:
             raise GraphError("terminal edges do not match the witness")
         if self.first_edge == self.last_edge:
             raise GraphError("terminal edges must differ")
-        interior = frozenset(self.trail.vertices[1:-1])
-        host = self.trail.host
-        for u, v in host.endpoints:
-            if u not in interior and v not in interior:
-                raise GraphError(f"edge ({u}, {v}) not dominated by interior vertices")
+        if not vertices_dominate_edges(self.trail.host, self.trail.vertices[1:-1]):
+            raise GraphError("interior vertices do not dominate every edge")
 
 
 # -- the edge-trail engine (multigraphs) ----------------------------------------

@@ -10,7 +10,7 @@ from hamconn.multigraph import complete_graph, star_graph
 @pytest.fixture
 def octahedron_file(tmp_path):
     path = tmp_path / "oct.g6"
-    path.write_text(encode_graph6(line_graph(complete_graph(4)).target) + "\n")
+    path.write_text(encode_graph6(line_graph(complete_graph(4))) + "\n")
     return str(path)
 
 
@@ -153,6 +153,36 @@ class TestPipelineCommand:
 
     def test_bad_file(self):
         assert main(["pipeline", "0", "1", "--input", "/nonexistent.g6"]) == 2
+
+    def test_file_without_a_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("# only a comment\n")
+        assert main(["pipeline", "0", "1", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: no graph in the file\n"
+
+
+class TestUnusablePaths:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        binary = tmp_path / "binary.g6"
+        binary.write_bytes(b"\xff\xfeG?\x80\n")
+        return {"directory": str(tmp_path), "binary": str(binary)}
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["props", "--input"], "directory"),
+            (["props", "--input"], "binary"),
+            (["props", "--format", "el", "--input"], "binary"),
+            (["counterexample", "1", "--emit"], "directory"),
+            (["verify", "--n", "3", "--emit-witnesses"], "directory"),
+        ],
+        ids=["props-dir", "props-binary", "props-el-binary", "cex-emit-dir", "verify-emit-dir"],
+    )
+    def test_is_an_input_error_naming_the_path(self, paths, argv, kind, capsys):
+        assert main(argv + [paths[kind]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {paths[kind]}: ") and err.count("\n") == 1
 
 
 class TestCounterexampleCommand:

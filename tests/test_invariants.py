@@ -50,7 +50,7 @@ class TestClawFree:
         rng = random.Random(2)
         for _ in range(60):
             h = random_connected_multigraph_with_loops(rng)
-            assert is_claw_free(line_graph(h).target)
+            assert is_claw_free(line_graph(h))
 
     def test_petersen_has_claws(self):
         from hamconn.constructions import petersen
@@ -201,7 +201,7 @@ class TestEssentialEdgeConnectivity:
             h = random_multigraph(rng, max_vertices=6, max_edges=9)
             if h.edge_count < 3 or not h.is_connected():
                 continue
-            g = line_graph(h).target
+            g = line_graph(h)
             if g.is_complete():
                 continue
             checked += 1

@@ -28,35 +28,35 @@ def pendant_edges(h: Multigraph) -> set[int]:
 
 class TestLineGraph:
     def test_claw_gives_triangle(self, claw):
-        lgm = line_graph(claw)
-        lgm.validate()
-        assert isomorphic(lgm.target, complete_graph(3))
+        g = line_graph(claw)
+        assert list(g.endpoints) == pairwise_line_graph_edges(claw)
+        assert isomorphic(g, complete_graph(3))
 
     def test_path4_gives_path3(self, p4):
-        assert isomorphic(line_graph(p4).target, path_graph(3))
+        assert isomorphic(line_graph(p4), path_graph(3))
 
     def test_double_edge_plus_edge_gives_triangle(self):
         h = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
-        assert isomorphic(line_graph(h).target, complete_graph(3))
+        assert isomorphic(line_graph(h), complete_graph(3))
 
     def test_vertex_count_is_edge_count(self):
         rng = random.Random(23)
         for _ in range(40):
             h = random_connected_multigraph_with_loops(rng)
-            lgm = line_graph(h)
-            assert lgm.target.n == h.edge_count
-            lgm.validate()
+            g = line_graph(h)
+            assert g.n == h.edge_count
+            assert list(g.endpoints) == pairwise_line_graph_edges(h), h
 
     def test_edges_in_pairwise_order(self):
         # the edge ids of L(H) follow the (i, j) order of the definition
         rng = random.Random(31)
         for _ in range(300):
             h = random_connected_multigraph_with_loops(rng)
-            assert list(line_graph(h).target.endpoints) == pairwise_line_graph_edges(h), h
+            assert list(line_graph(h).endpoints) == pairwise_line_graph_edges(h), h
 
     def test_loop_adjacent_to_every_edge_at_its_vertex(self):
         h = Multigraph(3, [(0, 0), (0, 1), (0, 2), (1, 2)])
-        g = line_graph(h).target
+        g = line_graph(h)
         assert g.has_edge(0, 1) and g.has_edge(0, 2)
         assert not g.has_edge(0, 3)
 
@@ -82,14 +82,14 @@ class TestPreimage:
         from hamconn.constructions import petersen
 
         p = petersen()
-        lp = line_graph(p).target
+        lp = line_graph(p)
         assert isomorphic(preimage(lp), p)
 
     def test_preimage_edges_align_with_vertices(self):
         # edge i of the preimage corresponds to vertex i of the input, so
         # the roundtrip is exact equality, not just isomorphism
-        lp = line_graph(complete_graph(4)).target
-        assert line_graph(preimage(lp)).target == lp
+        lp = line_graph(complete_graph(4))
+        assert line_graph(preimage(lp)) == lp
 
     def test_k4_minus_edge_gives_parallel_pair(self):
         g = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -111,12 +111,12 @@ class TestPreimageProperties:
         done = 0
         while done < 150:
             h = random_connected_multigraph_with_loops(rng, max_vertices=6, max_edges=12)
-            g = line_graph(h).target
+            g = line_graph(h)
             if g.n == 0 or not g.is_connected():
                 continue
             done += 1
             back = preimage(g)
-            assert line_graph(back).target == g
+            assert line_graph(back) == g
             simp = simplicial_vertices(g)
             assert pendant_edges(back) == set(simp), (h.endpoints,)
 
@@ -133,7 +133,7 @@ class TestPreimageProperties:
             h = SimpleGraph(n, edges)
             if not h.is_connected() or not h.edge_count:
                 continue
-            g = line_graph(h).target
+            g = line_graph(h)
             if not g.is_connected():
                 continue
             if pendant_edges(h) != set(simplicial_vertices(g)):
@@ -150,12 +150,12 @@ class TestPreimageProperties:
         # but it cannot match both inputs.
         h1 = Multigraph(4, [(0, 1), (2, 3), (0, 2), (1, 2), (2, 3), (0, 2), (1, 2), (0, 3)])
         h2 = Multigraph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (2, 3), (0, 2), (0, 3), (1, 2)])
-        g = line_graph(h1).target
-        assert line_graph(h2).target == g
+        g = line_graph(h1)
+        assert line_graph(h2) == g
         assert not isomorphic(h1, h2)
         assert simplicial_vertices(g) == frozenset()
         back = preimage(g)
-        assert line_graph(back).target == g
+        assert line_graph(back) == g
         assert pendant_edges(back) == set()
 
     def test_determinism_under_relabeling(self):
@@ -165,16 +165,16 @@ class TestPreimageProperties:
         rng = random.Random(26)
         ambiguous = line_graph(
             Multigraph(4, [(0, 1), (2, 3), (0, 2), (1, 2), (2, 3), (0, 2), (1, 2), (0, 3)])
-        ).target
+        )
         order_sensitive = line_graph(
             Multigraph(4, [(0, 1), (2, 3), (2, 3), (0, 3), (1, 3), (0, 3), (1, 2)])
-        ).target
+        )
         colex = SimpleGraph(
             order_sensitive.n, sorted(order_sensitive.endpoints, key=lambda e: (e[1], e[0]))
         )
         assert colex == order_sensitive
         assert isomorphic(preimage(colex), preimage(order_sensitive))
-        for base in (line_graph(complete_graph(4)).target, ambiguous, order_sensitive):
+        for base in (line_graph(complete_graph(4)), ambiguous, order_sensitive):
             h0 = preimage(base)
             for _ in range(6):
                 perm = list(range(base.n))
@@ -204,6 +204,6 @@ def test_recognition_over_all_connected_classes(graph_classes_8):
         except NotALineGraphOfMultigraphError:
             continue
         found[g.n] += 1
-        assert line_graph(h).target == g, g
+        assert line_graph(h) == g, g
         assert pendant_edges(h) == set(simplicial_vertices(g)), g
     assert found == {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 46, 7: 153, 8: 562}

@@ -179,7 +179,7 @@ class TestCanonicalLabeling:
         from hamconn.constructions import petersen, wagner_counterexample
         from hamconn.linegraph import line_graph
 
-        graphs = [petersen(), line_graph(complete_graph(6)).target, line_graph(petersen()).target]
+        graphs = [petersen(), line_graph(complete_graph(6)), line_graph(petersen())]
         graphs += [wagner_counterexample(p)[1] for p in (1, 2, 3)]
         graphs += [wagner_counterexample(p)[0] for p in (1, 2)]
         graphs.append(complete_graph(12))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hamconn import reduction
+from hamconn import linegraph, reduction
 from hamconn.constructions import wagner_counterexample
 from hamconn.core import core
 from hamconn.errors import (
@@ -14,7 +14,7 @@ from hamconn.errors import (
 )
 from hamconn.invariants import DominatingSet, dominating_set, edge_connectivity
 from hamconn.linegraph import line_graph
-from hamconn.multigraph import Multigraph, complete_graph
+from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph
 from hamconn.reduction import (
     build_hn,
     idt_to_ham_path,
@@ -126,23 +126,20 @@ class TestIdtToHamPath:
         from hamconn.multigraph import path_graph
 
         h = path_graph(4)
-        lgm = line_graph(h)
         witness = find_idt(h, 0, 2)
-        path = idt_to_ham_path(lgm, witness)
+        path = idt_to_ham_path(line_graph(h), witness)
         assert path.vertices == (0, 1, 2)
 
     def test_triangle_with_pendant(self, triangle_with_pendant):
-        lgm = line_graph(triangle_with_pendant)
         witness = find_idt(triangle_with_pendant, 3, 1)
-        path = idt_to_ham_path(lgm, witness)
+        path = idt_to_ham_path(line_graph(triangle_with_pendant), witness)
         assert len(path.vertices) == 4
         assert path.vertices[0] == 3 and path.vertices[-1] == 1
 
     def test_inserted_edge_lands_next_to_its_interior_vertex(self, k4_with_pendants):
         h = k4_with_pendants
-        lgm = line_graph(h)
         witness = find_idt(h, 6, 9)
-        path = idt_to_ham_path(lgm, witness)
+        path = idt_to_ham_path(line_graph(h), witness)
         on_trail = set(witness.trail.edges)
         position = {e: i for i, e in enumerate(path.vertices)}
         for f in range(h.edge_count):
@@ -159,36 +156,33 @@ class TestIdtToHamPath:
 
     def test_too_few_edges_rejected(self):
         h = Multigraph(3, [(0, 1), (1, 2)])
-        lgm = line_graph(h)
         t = Trail(h, (0, 1, 2), (0, 1))
         with pytest.raises(GraphError):
-            idt_to_ham_path(lgm, IdtWitness(t, 0, 1))
+            idt_to_ham_path(line_graph(h), IdtWitness(t, 0, 1))
 
 
 class TestMissingIdtPair:
     def test_agrees_with_the_line_graph_search(self, equivalence_corpus):
         for h in equivalence_corpus:
-            lgm = line_graph(h)
-            assert missing_idt_pair(lgm) == missing_hamiltonian_pair(lgm.target), h.endpoints
+            assert missing_idt_pair(h) == missing_hamiltonian_pair(line_graph(h)), h.endpoints
 
     def test_every_pair_before_the_answer_is_certified(self, monkeypatch):
-        _, h = wagner_counterexample(1)
-        lgm = line_graph(h)
+        g, h = wagner_counterexample(1)
         paths = []
 
-        def recording(lgm_, witness):
-            path = idt_to_ham_path(lgm_, witness)
+        def recording(g_, witness):
+            path = idt_to_ham_path(g_, witness)
             paths.append(path)
             return path
 
         monkeypatch.setattr(reduction, "idt_to_ham_path", recording)
-        pair = missing_idt_pair(lgm)
+        pair = missing_idt_pair(h)
         assert pair == (8, 10)
         before = [p for p in itertools.combinations(range(h.edge_count), 2) if p < pair]
         assert [(p.vertices[0], p.vertices[-1]) for p in paths] == before
         for path in paths:
-            assert path.host == lgm.target
-            assert sorted(path.vertices) == list(range(lgm.target.n))
+            assert path.host == g
+            assert sorted(path.vertices) == list(range(g.n))
             path.validate()
 
     def test_witness_from_another_host_is_refused(self, monkeypatch):
@@ -196,11 +190,24 @@ class TestMissingIdtPair:
         other = Multigraph(h.n + 1, list(h.endpoints) + [(0, h.n)])
         monkeypatch.setattr(reduction, "find_idt", lambda _, e1, e2: find_idt(other, e1, e2))
         with pytest.raises(LiftFailedError):
-            missing_idt_pair(line_graph(h))
+            missing_idt_pair(h)
+
+    def test_line_graph_missing_an_adjacency_is_refused(self, monkeypatch):
+        # a negative answer rests on L(H) being exact, so L(H) is checked
+        # against the shared endpoints before the census starts
+        _, h = wagner_counterexample(1)
+
+        def dropping(h_):
+            g = line_graph(h_)
+            return SimpleGraph(g.n, g.endpoints[1:])
+
+        monkeypatch.setattr(reduction, "line_graph", dropping)
+        with pytest.raises(LiftFailedError, match="adjacency"):
+            missing_idt_pair(h)
 
     def test_too_few_edges_rejected(self):
         with pytest.raises(GraphError):
-            missing_idt_pair(line_graph(Multigraph(3, [(0, 1), (1, 2)])))
+            missing_idt_pair(Multigraph(3, [(0, 1), (1, 2)]))
 
 
 class TestCheckHamPath:
@@ -227,18 +234,18 @@ class TestPipeline:
                 assert g.has_edge(path.vertices[i], path.vertices[i + 1])
 
     def test_octahedron_all_pairs(self, k4):
-        self._check_all_pairs(line_graph(k4).target)
+        self._check_all_pairs(line_graph(k4))
 
     def test_l_of_k4_with_pendants_all_pairs(self, k4_with_pendants):
-        self._check_all_pairs(line_graph(k4_with_pendants).target)
+        self._check_all_pairs(line_graph(k4_with_pendants))
 
     def test_l_of_subdivided_k4(self):
-        g = line_graph(complete_graph(4).subdivide(0)).target
+        g = line_graph(complete_graph(4).subdivide(0))
         self._check_all_pairs(g)
 
     def test_loop_core_cases(self):
         h = Multigraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 4)])
-        self._check_all_pairs(line_graph(h).target)
+        self._check_all_pairs(line_graph(h))
 
     def test_complete_graphs_via_degenerate_fallback(self):
         for n in (4, 5, 6):
@@ -253,7 +260,7 @@ class TestPipeline:
         # pipeline refuses it.
         h = Multigraph(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (1, 5)])
         core(h)
-        g = line_graph(h).target
+        g = line_graph(h)
         with pytest.raises(NotEssentially3EdgeConnectedError) as err:
             run_pipeline(g, 0, 1, dominating_set(g, 3))
         assert err.value.cut is not None
@@ -263,17 +270,36 @@ class TestPipeline:
             run_pipeline(claw, 0, 1, DominatingSet(frozenset({0}), claw))
 
     def test_same_endpoints_rejected(self, k4):
-        g = line_graph(k4).target
+        g = line_graph(k4)
         with pytest.raises(GraphError):
             run_pipeline(g, 1, 1, dominating_set(g, 2))
 
     def test_non_dominating_set_rejected(self, k4):
-        g = line_graph(k4).target
+        g = line_graph(k4)
         with pytest.raises(GraphError):
             run_pipeline(g, 0, 1, DominatingSet(frozenset({0}), g))
 
+    def test_line_graph_built_once_inside_preimage(self, k4_with_pendants, monkeypatch):
+        # preimage checks line_graph(H) == g, and the pipeline then uses g
+        # itself as L(H), so no pair builds a second line graph
+        g = line_graph(k4_with_pendants)
+        kn = complete_graph(5)
+        cases = [(g, 0, 9, dominating_set(g, 3)), (kn, 0, 4, dominating_set(kn, 1))]
+        built = []
+
+        def counting(h):
+            built.append(h)
+            return line_graph(h)
+
+        monkeypatch.setattr(linegraph, "line_graph", counting)
+        monkeypatch.setattr(reduction, "line_graph", counting)
+        for host, u, v, d in cases:
+            built.clear()
+            run = run_pipeline(host, u, v, d)
+            assert built == [run.idt.trail.host]
+
     def test_stage_artifacts_exposed(self, k4_with_pendants):
-        g = line_graph(k4_with_pendants).target
+        g = line_graph(k4_with_pendants)
         d = dominating_set(g, 3)
         run = run_pipeline(g, 0, 9, d)
         ctx = run.context
@@ -283,18 +309,18 @@ class TestPipeline:
         run.idt.validate()
 
     def test_path_revalidates_independently(self, k4_with_pendants):
-        g = line_graph(k4_with_pendants).target
+        g = line_graph(k4_with_pendants)
         d = dominating_set(g, 3)
         path = run_pipeline(g, 2, 7, d).path
         assert hamiltonian_path(g, 2, 7) is not None  # cross-check searcher agrees
 
     def test_interior_dominates_source_edges(self, k4_with_pendants):
-        g = line_graph(k4_with_pendants).target
+        g = line_graph(k4_with_pendants)
         d = dominating_set(g, 3)
         for u, v in [(0, 1), (6, 9), (3, 8)]:
             run = run_pipeline(g, u, v, d)
             interior = frozenset(run.idt.trail.vertices[1:-1])
-            for a, b in run.source.endpoints:
+            for a, b in run.idt.trail.host.endpoints:
                 assert a in interior or b in interior
 
 
@@ -310,7 +336,7 @@ class TestPipelineRandomized:
             h = Multigraph(n + extra, base + [(rng.randrange(n), n + i) for i in range(extra)])
             if not h.is_connected() or h.edge_count < 4:
                 continue
-            g = line_graph(h).target
+            g = line_graph(h)
             from hamconn.invariants import is_k_connected
 
             if not is_k_connected(g, 3):
