@@ -3,7 +3,7 @@ claw-free graphs: multigraph cores, dominating trails, line-graph
 preimages, and an exhaustive verification harness."""
 
 from .constructions import petersen, wagner, wagner_counterexample
-from .core import CoreLocation, CoreMap, core, lift_closed_trail, project_vertex
+from .core import CoreMap, core, lift_closed_trail
 from .corpus import (
     enumerate_multigraph_corpus,
     graph_classes,

@@ -25,6 +25,7 @@ from typing import Optional
 
 from .constructions import petersen, wagner
 from .corpus import (
+    MAX_CLAW_FREE_VERTICES,
     random_3_edge_connected_multigraph,
     random_essentially_3ec_multigraph,
     random_multigraph,
@@ -66,11 +67,26 @@ def _user_file(path: str):
         raise EncodingError(f"{path}: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _output_file(path: Optional[str]):
+    """The user-named output file, opened and truncated before the work that
+    fills it, so that an unusable path fails first; ``None`` without one."""
+    if not path:
+        yield None
+        return
+    with _user_file(path):
+        fh = open(path, "w")
+    with fh:
+        yield fh
+
+
 def _load_graphs(args) -> list[Multigraph]:
-    if getattr(args, "named", None):
-        return [NAMED[args.named]()]
+    named = getattr(args, "named", None)
+    if named:
+        return [NAMED[named]()]
     if not args.input:
-        raise EncodingError("no input: pass --input FILE or --named NAME")
+        hint = " or --named NAME" if "named" in args else ""
+        raise EncodingError(f"no input: pass --input FILE{hint}")
     with _user_file(args.input):
         return read_corpus_file(args.input, args.format)
 
@@ -82,15 +98,17 @@ def _as_simple(g: Multigraph) -> SimpleGraph:
 
 
 def cmd_verify(args) -> int:
-    if args.input:
-        graphs = [_as_simple(g) for g in _load_graphs(args)]
-        report = verify_theorem_graphs(graphs, args.hypothesis, workers=args.workers)
-    else:
-        report = verify_theorem_enumerated(args.n, args.hypothesis, workers=args.workers)
-    print(report.format())
-    if args.emit_witnesses:
-        with _user_file(args.emit_witnesses):
-            write_witnesses(report, args.emit_witnesses)
+    with _output_file(args.emit_witnesses) as out:
+        if args.input:
+            graphs = [_as_simple(g) for g in _load_graphs(args)]
+            report = verify_theorem_graphs(graphs, args.hypothesis, workers=args.workers)
+        else:
+            report = verify_theorem_enumerated(args.n, args.hypothesis, workers=args.workers)
+        print(report.format())
+        if out is not None:
+            with _user_file(args.emit_witnesses):
+                write_witnesses(report, out)
+                out.flush()
     return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
@@ -125,16 +143,18 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    report = counterexample_report(args.pendants)
-    print(report.format())
-    print()
-    print("graph6(g):", encode_graph6(report.graph))
-    print("sparse6(h):", encode_sparse6(report.source))
-    if args.emit:
-        with _user_file(args.emit), open(args.emit, "w") as fh:
-            fh.write("# sharpness counterexample: line graph g, then source h\n")
-            fh.write(encode_edgelist(report.graph))
-            fh.write(encode_edgelist(report.source))
+    with _output_file(args.emit) as out:
+        report = counterexample_report(args.pendants)
+        print(report.format())
+        print()
+        print("graph6(g):", encode_graph6(report.graph))
+        print("sparse6(h):", encode_sparse6(report.source))
+        if out is not None:
+            with _user_file(args.emit):
+                out.write("# sharpness counterexample: line graph g, then source h\n")
+                out.write(encode_edgelist(report.graph))
+                out.write(encode_edgelist(report.source))
+                out.flush()
     return EXIT_OK if report.demonstrates_sharpness else EXIT_VIOLATIONS
 
 
@@ -191,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_vertex_bound,
         default=6,
-        help="enumerate all labeled graphs on 1..N vertices (N at most 10)",
+        help=f"enumerate all labeled graphs on 1..N vertices (N at most {MAX_CLAW_FREE_VERTICES})",
     )
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--emit-witnesses", help="write violating graphs to this file")
@@ -205,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="hamiltonian path via the core reduction")
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
-    add_input_options(p)
+    add_input_options(p, named=False)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("counterexample", help="sharpness family from the Wagner graph")

@@ -22,25 +22,11 @@ its two end edges, because a vertex lists its edges by id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import (
-    DegenerateCoreError,
-    DisconnectedGraphError,
-    LiftFailedError,
-    NoCoreLocationError,
-)
+from .errors import DegenerateCoreError, DisconnectedGraphError, LiftFailedError
 from .invariants import vertices_dominate_edges
 from .multigraph import Multigraph
 from .trails import Trail
-
-
-class CoreLocation(NamedTuple):
-    """Where an original vertex lives in the core: a core vertex, or the
-    interior of a core edge's expansion."""
-
-    kind: str  # "vertex" | "edge"
-    index: int
 
 
 @dataclass(frozen=True)
@@ -182,17 +168,6 @@ def core(h: Multigraph) -> CoreMap:
     )
     cm.validate()
     return cm
-
-
-def project_vertex(cm: CoreMap, v: int) -> CoreLocation:
-    """The core location of an original vertex: its core vertex when it
-    survived suppression, else the core edge whose expansion contains it."""
-    cm.original.check_vertex(v)
-    if v in cm.vertex_image:
-        return CoreLocation("vertex", cm.vertex_image[v])
-    if v in cm.suppressed_location:
-        return CoreLocation("edge", cm.suppressed_location[v])
-    raise NoCoreLocationError(f"vertex {v} was stripped with the pendant edges")
 
 
 def lift_walk(

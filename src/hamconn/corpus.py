@@ -52,13 +52,14 @@ from .multigraph import (
     canonical_labeling,
 )
 
-MAX_ENUMERATION_VERTICES = 8
-MAX_CLAW_FREE_VERTICES = 10
-
 #: Isomorphism classes of simple graphs on 1..8 vertices (OEIS A000088).
 _CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
 #: Isomorphism classes of claw-free simple graphs on 1..10 vertices.
 _CLAW_FREE_CLASS_COUNTS = (1, 2, 4, 10, 26, 85, 302, 1285, 6170, 34294)
+
+# Each enumeration is capped where its known class counts end.
+MAX_ENUMERATION_VERTICES = len(_CLASS_COUNTS)
+MAX_CLAW_FREE_VERTICES = len(_CLAW_FREE_CLASS_COUNTS)
 
 
 def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:

@@ -45,7 +45,8 @@ class NotEssentially3EdgeConnectedError(GraphError):
 
 
 class NoCoreLocationError(GraphError):
-    """A vertex or edge has no image in the core (it was stripped entirely)."""
+    """A pendant edge has no core edge to project to: its support vertex was
+    stripped too, or keeps only loops in the core."""
 
 
 class TrailNotFoundError(GraphError):

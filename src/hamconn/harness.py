@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 from .constructions import wagner_counterexample
 from .corpus import graph_classes, labeled_counts
@@ -223,13 +223,11 @@ def verify_theorem_graphs(
     return _merged_report(hypothesis, [(g, 1) for g in graphs], workers, start)
 
 
-def write_witnesses(report: VerificationReport, path: str) -> None:
-    with open(path, "w") as fh:
-        for v in report.violations:
-            if v.pair is not None:
-                fh.write(f"{v.graph6} {v.pair[0]} {v.pair[1]}\n")
-            else:
-                fh.write(f"{v.graph6}\n")
+def write_witnesses(report: VerificationReport, fh: TextIO) -> None:
+    """One line per violation: its graph6, then its pair when it has one."""
+    for v in report.violations:
+        pair = "" if v.pair is None else f" {v.pair[0]} {v.pair[1]}"
+        fh.write(f"{v.graph6}{pair}\n")
 
 
 # -- property table ---------------------------------------------------------------------
@@ -273,7 +271,7 @@ def property_table(g: Multigraph) -> list[tuple[str, object]]:
         if g.n >= 2:
             # A line graph is decided on its preimage, any other graph directly.
             if h is not None and g.n >= 3:
-                pair = missing_idt_pair(h)
+                pair = missing_idt_pair(g, h)
             else:
                 pair = missing_hamiltonian_pair(g)
             rows.append(("hamiltonian-connected", pair is None))
@@ -340,7 +338,7 @@ def counterexample_report(pendants_per_vertex: int = 1) -> CounterexampleReport:
     vertex pair of g.
     """
     g, h = wagner_counterexample(pendants_per_vertex)
-    pair = missing_idt_pair(h)
+    pair = missing_idt_pair(g, h)
     return CounterexampleReport(
         graph=g,
         source=h,

@@ -16,20 +16,24 @@ for 3-connected claw-free line graphs with small domination number:
    endpoints ``z`` of the projected edges;
 5. find a closed trail of ``h_n`` through the new edge visiting ``z``;
 6. convert that trail into an internally dominating trail of H with the
-   prescribed terminal edges, and then into a hamiltonian path of g;
-   ``preimage`` numbers the edges of H as the vertices of g, so g itself
-   is L(H) and the path is built on it.
+   prescribed terminal edges: lift its walk after ``e_n`` through the
+   core's expansions and join each terminal edge to an end of it by a
+   piece, the sub-trail that runs from the edge along the expansion of its
+   projected core edge; then turn the result into a hamiltonian path of
+   g.  ``preimage`` numbers the edges of H as the vertices of g, so g
+   itself is L(H) and the path is built on it.
 
 Every construction step is revalidated; a failed validation raises
 ``LiftFailedError`` and is treated as a bug, never silently accepted.
 
-Whether a line graph L(H) is hamiltonian-connected is decided on the
-preimage side by ``missing_idt_pair``: L(H) has a hamiltonian path between
-the vertices of edges e1 and e2 exactly when H has an internally
+Whether a line graph g = L(H) is hamiltonian-connected is decided on the
+preimage side by ``missing_idt_pair(g, h)``: L(H) has a hamiltonian path
+between the vertices of edges e1 and e2 exactly when H has an internally
 dominating trail with terminal edges e1 and e2 (Harary & Nash-Williams,
-1965).  Each trail found is turned into a hamiltonian path of L(H) by
-``idt_to_ham_path`` and checked there, so every positive answer carries a
-certificate in the line graph itself.
+1965).  The caller's g is first checked to be exactly L(H).  Each trail
+found is turned into a hamiltonian path of g by ``idt_to_ham_path`` and
+checked there, so every positive answer carries a certificate in the line
+graph itself.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CoreMap, core, lift_walk, project_vertex
+from .core import CoreMap, core, lift_walk
 from .errors import (
     DegenerateCoreError,
     GraphError,
@@ -48,9 +52,9 @@ from .errors import (
     TrailNotFoundError,
 )
 from .invariants import DominatingSet, edge_connectivity, edges_dominate, find_essential_cut
-from .linegraph import line_graph, preimage
+from .linegraph import preimage
 from .multigraph import Multigraph, SimpleGraph
-from .trails import IdtWitness, Trail, _check_order, find_closed_trail_through, find_idt
+from .trails import IdtWitness, Trail, _check_order, _order_trail, find_closed_trail_through, find_idt
 
 
 # -- edge projection -----------------------------------------------------------
@@ -59,20 +63,25 @@ from .trails import IdtWitness, Trail, _check_order, find_closed_trail_through, 
 def project_edge(cm: CoreMap, e: int) -> int:
     """The core edge standing in for an original edge.
 
-    An edge surviving into the core projects to itself; an edge inside an
-    expansion projects to the owning core edge; a pendant edge projects to
-    the smallest-id non-loop core edge at the image of its support vertex
-    (or to the owning expansion when the support itself was suppressed).
+    An edge surviving into the core projects to itself, and an edge inside
+    an expansion to the owning core edge.  A pendant edge projects through
+    its support vertex: a suppressed support to the core edge whose
+    expansion swallowed it, a core-vertex support to the smallest-id
+    non-loop core edge at its image.  A support stripped with the pendant
+    edges has no core location.
     """
     cm.original.check_edge(e)
     if e in cm.edge_owner:
         return cm.edge_owner[e]
     if e not in cm.pendant_support:
         raise LiftFailedError(f"edge {e} is neither expanded nor pendant")
-    loc = project_vertex(cm, cm.pendant_support[e])
-    if loc.kind == "edge":
-        return loc.index
-    for ce, _ in sorted(cm.core.incidence()[loc.index]):
+    s = cm.pendant_support[e]
+    if s in cm.suppressed_location:
+        return cm.suppressed_location[s]
+    if s not in cm.vertex_image:
+        raise NoCoreLocationError(f"support {s} of pendant edge {e} was stripped too")
+    # incidence lists edges by id, so the first non-loop is the smallest
+    for ce, _ in cm.core.incidence()[cm.vertex_image[s]]:
         if not cm.core.is_loop(ce):
             return ce
     raise NoCoreLocationError(f"support of pendant edge {e} has only loops in the core")
@@ -111,10 +120,7 @@ def pick_z(cm: CoreMap, f_edges: tuple[int, ...]) -> frozenset[int]:
     """
     z: set[int] = set()
     for f in f_edges:
-        f0 = project_edge(cm, f)
-        u, v = cm.core.endpoints[f0]
-        z.add(u)
-        z.add(v)
+        z.update(cm.core.endpoints[project_edge(cm, f)])
     if len(z) > 6:
         raise LiftFailedError("three projected edges cannot have more than 6 endpoints")
     return frozenset(z)
@@ -138,71 +144,46 @@ class PipelineContext:
     z: frozenset[int]
 
 
-# -- terminal attachments -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Attachment:
-    """How a terminal edge hangs off its projected core edge.
-
-    ``kind == "on"`` means the edge is the ``index``-th edge (1-based) of the
-    expansion; ``kind == "pendant"`` means a pendant edge attached at the
-    expansion vertex with the given path index.
-    """
-
-    core_edge: int
-    kind: str
-    index: int
-    pendant_edge: Optional[int] = None
-    leaf: Optional[int] = None
-
-
-def _attachment(cm: CoreMap, e: int) -> _Attachment:
-    ce = project_edge(cm, e)
-    if e in cm.edge_owner:
-        return _Attachment(ce, "on", cm.edge_expansion[ce].index(e) + 1)
-    # A suppressed support lies inside the expansion, a core-vertex support
-    # is one of its ends.
-    support = cm.pendant_support[e]
-    leaf = cm.original.other_end(e, support)
-    try:
-        p = cm.expansion_paths[ce].index(support)
-    except ValueError:
-        raise LiftFailedError("support vertex is not on its projected edge's expansion") from None
-    return _Attachment(ce, "pendant", p, pendant_edge=e, leaf=leaf)
-
-
-def _piece(cm: CoreMap, att: _Attachment, toward_low: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The terminal sub-trail: starts with the terminal edge at its tip and
-    walks along the expansion to one end of the core edge."""
-    vpath = cm.expansion_paths[att.core_edge]
-    epath = cm.edge_expansion[att.core_edge]
-    if att.kind == "on":
-        j = att.index
-        if toward_low:
-            verts = (vpath[j],) + tuple(reversed(vpath[:j]))
-            edges = tuple(reversed(epath[:j]))
-        else:
-            verts = (vpath[j - 1],) + tuple(vpath[j:])
-            edges = tuple(epath[j - 1 :])
-    else:
-        p = att.index
-        if toward_low:
-            verts = (att.leaf,) + tuple(reversed(vpath[: p + 1]))
-            edges = (att.pendant_edge,) + tuple(reversed(epath[:p]))
-        else:
-            verts = (att.leaf,) + tuple(vpath[p:])
-            edges = (att.pendant_edge,) + tuple(epath[p:])
-    return verts, edges
-
-
 # -- trail to IDT --------------------------------------------------------------------
 
 
-def _rotate_closed(trail: Trail, edge_pos: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    edges = trail.edges[edge_pos:] + trail.edges[:edge_pos]
-    verts = trail.vertices[edge_pos:-1] + trail.vertices[: edge_pos + 1]
-    return verts, edges
+_Piece = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _terminal_pieces(cm: CoreMap, e: int) -> tuple[_Piece, _Piece]:
+    """The two sub-trails that start with the terminal edge ``e`` at their
+    tip and run along the expansion of ``project_edge(cm, e)``: first to
+    its lower end, then to its upper end."""
+    ce = project_edge(cm, e)
+    vpath = cm.expansion_paths[ce]
+    epath = cm.edge_expansion[ce]
+    if e in cm.edge_owner:
+        i = epath.index(e)
+        return (vpath[: i + 2][::-1], epath[: i + 1][::-1]), (vpath[i:], epath[i:])
+    # A suppressed support lies inside the expansion, a core-vertex support
+    # is one of its ends.
+    support = cm.pendant_support[e]
+    if support not in vpath:
+        raise LiftFailedError("support vertex is not on its projected edge's expansion")
+    p = vpath.index(support)
+    leaf = cm.original.other_end(e, support)
+    return (
+        ((leaf,) + vpath[: p + 1][::-1], (e,) + epath[:p][::-1]),
+        ((leaf,) + vpath[p:], (e,) + epath[p:]),
+    )
+
+
+def _checked_idt(
+    h: Multigraph, verts: tuple[int, ...], edges: tuple[int, ...], e1: int, e2: int
+) -> Optional[IdtWitness]:
+    """The internally dominating trail of ``h`` along ``verts``/``edges``
+    with terminal edges e1, e2, or ``None`` when it fails validation."""
+    witness = IdtWitness(Trail(h, verts, edges), e1, e2)
+    try:
+        witness.validate()
+    except GraphError:
+        return None
+    return witness
 
 
 def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
@@ -216,52 +197,48 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
     if not ctx.z <= trail.vertex_set():
         raise LiftFailedError("trail misses part of z")
     cm = ctx.cm
-    rverts, redges = _rotate_closed(trail, trail.edges.index(ctx.e_n))
-    x0, x1 = rverts[0], rverts[1]
-    rest_edges = redges[1:]
-    rest_verts = rverts[1:]
-    att1, att2 = _attachment(cm, ctx.e1), _attachment(cm, ctx.e2)
-    if (att1.core_edge, att2.core_edge) != (ctx.e0_1, ctx.e0_2):
-        raise LiftFailedError("attachments disagree with the projected edges")
+    if (project_edge(cm, ctx.e1), project_edge(cm, ctx.e2)) != (ctx.e0_1, ctx.e0_2):
+        raise LiftFailedError("terminal edges disagree with the projected edges")
+    pieces1, pieces2 = _terminal_pieces(cm, ctx.e1), _terminal_pieces(cm, ctx.e2)
+    # The walk after e_n, once around the closed trail.
+    k = trail.edges.index(ctx.e_n)
+    rest_verts = trail.vertices[k + 1 : -1] + trail.vertices[: k + 1]
+    rest_edges = trail.edges[k + 1 :] + trail.edges[:k]
 
-    # Each option is a lifted core walk mv with the attachments whose pieces
-    # must end at mv[0] and at mv[-1].
+    # Each option is a lifted core walk mv and a flag: with it, a piece of
+    # e2 ends at mv[0], one of e1 at mv[-1], and the joined trail is reversed
+    # to start with e1.
     if ctx.e0_1 == ctx.e0_2:
         # e_n is the shared projected core edge itself.  The lifted cycle may
         # be traversed in either direction, so try both.
         mv, me = lift_walk(cm, rest_verts, rest_edges)
-        options = [(mv, me, att1, att2), (mv[::-1], me[::-1], att1, att2)]
+        options = [(mv, me, False), (mv[::-1], me[::-1], False)]
     else:
         # n subdivides e0_1 and n + 1 subdivides e0_2.  Away from them the
         # walk uses only unsubdivided core edges, which keep their ids.
         n = cm.core.n
-        if {x0, x1} != {n, n + 1}:
+        if {trail.vertices[k], rest_verts[0]} != {n, n + 1}:
             raise LiftFailedError("e_n does not join the two subdivision vertices")
         if not {n, n + 1}.isdisjoint(rest_verts[1:-1]):
             raise LiftFailedError("trail revisits a subdivided edge")
         mv, me = lift_walk(cm, rest_verts[1:-1], rest_edges[1:-1])
-        first, last = (att1, att2) if x1 == n else (att2, att1)
-        options = [(mv, me, first, last)]
+        options = [(mv, me, rest_verts[0] != n)]
 
-    for mv, me, first, last in options:
-        for tf in (True, False):
-            pfv, pfe = _piece(cm, first, tf)
+    for mv, me, flip in options:
+        first, last = (pieces2, pieces1) if flip else (pieces1, pieces2)
+        for pfv, pfe in first:
             if pfv[-1] != mv[0]:
                 continue
-            for tl in (True, False):
-                plv, ple = _piece(cm, last, tl)
+            for plv, ple in last:
                 if plv[-1] != mv[-1] or set(pfe) & set(ple):
                     continue
                 verts = pfv + mv[1:] + plv[::-1][1:]
                 edges = pfe + me + ple[::-1]
-                if first is att2:
+                if flip:
                     verts, edges = verts[::-1], edges[::-1]
-                witness = IdtWitness(Trail(cm.original, verts, edges), ctx.e1, ctx.e2)
-                try:
-                    witness.validate()
-                except GraphError:
-                    continue
-                return witness
+                witness = _checked_idt(cm.original, verts, edges, ctx.e1, ctx.e2)
+                if witness is not None:
+                    return witness
     raise LiftFailedError("no orientation of the lifted trail yields a valid terminal trail")
 
 
@@ -282,48 +259,37 @@ def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
         raise LiftFailedError("witness does not live in the line graph's source")
     on_trail = set(trail.edges)
     inserts: dict[int, list[int]] = {}
+    interior = range(1, len(trail.vertices) - 1)
     for f in range(h.edge_count):
         if f in on_trail:
             continue
-        spot = None
-        for j in range(1, len(trail.vertices) - 1):
+        for j in interior:
             if trail.vertices[j] in h.endpoints[f]:
-                spot = j
                 break
-        if spot is None:
+        else:
             raise LiftFailedError(f"edge {f} is not dominated by an interior vertex")
-        inserts.setdefault(spot, []).append(f)
+        inserts.setdefault(j, []).append(f)
     seq = [trail.edges[0]]
-    for j in range(1, len(trail.vertices) - 1):
+    for j in interior:
         seq.extend(inserts.get(j, ()))
         seq.append(trail.edges[j])
-    if len(seq) != g.n or len(set(seq)) != g.n:
-        raise LiftFailedError("edge ordering does not enumerate every line-graph vertex once")
-    step_edges = []
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            raise LiftFailedError("consecutive ordered edges are not adjacent in the line graph")
-        step_edges.append(g.edge_id(a, b))
-    path = Trail(g, tuple(seq), tuple(step_edges))
-    path.validate()
-    return path
+    return _order_trail(g, seq)
 
 
-def missing_idt_pair(h: Multigraph) -> Optional[tuple[int, int]]:
-    """The first vertex pair of the line graph L(H) of ``h`` without a
-    hamiltonian path, or ``None``, decided by searching H.
+def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]:
+    """The first vertex pair of the line graph ``g`` = L(H) of ``h`` without
+    a hamiltonian path, or ``None``, decided by searching H.
 
     The edge pairs ``e1 < e2`` of H are walked in lexicographic order; the
     first pair without an internally dominating trail is the answer.  Every
-    trail found becomes a hamiltonian path of L(H), validated there.
-    Vertex i of L(H) is edge i of H, so the pair is the one
-    ``missing_hamiltonian_pair(line_graph(h))`` returns.  Like
-    ``idt_to_ham_path``, it needs at least 3 edges.
+    trail found becomes a hamiltonian path of ``g``, validated there.
+    Vertex i of ``g`` is edge i of H, so the pair is the one
+    ``missing_hamiltonian_pair(g)`` returns.  Like ``idt_to_ham_path``, it
+    needs at least 3 edges.
     """
     if h.edge_count < 3:
         raise GraphError("the IDT census needs at least 3 edges")
-    g = line_graph(h)
-    # A negative answer rests on the equivalence, so L(H) must be exact.
+    # A negative answer rests on the equivalence, so g must be exactly L(H).
     if g.n != h.edge_count:
         raise LiftFailedError("line graph must have one vertex per source edge")
     for e1, e2 in itertools.combinations(range(h.edge_count), 2):
@@ -353,15 +319,11 @@ class PipelineRun:
 def _direct_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
     """Two-edge trail through a shared endpoint; sufficient whenever that
     endpoint alone dominates the graph (star-like degenerate cores)."""
-    shared = set(h.endpoints[e1]) & set(h.endpoints[e2])
-    for s in sorted(shared):
-        t = Trail(h, (h.other_end(e1, s), s, h.other_end(e2, s)), (e1, e2))
-        witness = IdtWitness(t, e1, e2)
-        try:
-            witness.validate()
-        except GraphError:
-            continue
-        return witness
+    for s in sorted(set(h.endpoints[e1]) & set(h.endpoints[e2])):
+        verts = (h.other_end(e1, s), s, h.other_end(e2, s))
+        witness = _checked_idt(h, verts, (e1, e2), e1, e2)
+        if witness is not None:
+            return witness
     return None
 
 

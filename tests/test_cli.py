@@ -160,6 +160,18 @@ class TestPipelineCommand:
         assert main(["pipeline", "0", "1", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"input error: {path}: no graph in the file\n"
 
+    def test_named_graph_rejected_at_parse_time(self, capsys):
+        # Petersen and Wagner are cubic and triangle-free, so neither is a
+        # line graph and the pipeline could never run on them
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "0", "1", "--named", "petersen"])
+        assert exc.value.code == 2
+        assert "--named" in capsys.readouterr().err
+
+    def test_no_input_names_only_the_input_option(self, capsys):
+        assert main(["pipeline", "0", "1"]) == 2
+        assert capsys.readouterr().err == "input error: no input: pass --input FILE\n"
+
 
 class TestUnusablePaths:
     @pytest.fixture
@@ -180,9 +192,11 @@ class TestUnusablePaths:
         ids=["props-dir", "props-binary", "props-el-binary", "cex-emit-dir", "verify-emit-dir"],
     )
     def test_is_an_input_error_naming_the_path(self, paths, argv, kind, capsys):
+        # an output file is opened before the run, so nothing is printed
         assert main(argv + [paths[kind]]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"input error: {paths[kind]}: ") and err.count("\n") == 1
+        assert out == ""
 
 
 class TestCounterexampleCommand:

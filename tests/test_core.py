@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from hamconn.core import core, lift_closed_trail, project_vertex
+from hamconn.core import core, lift_closed_trail
 from hamconn.corpus import random_essentially_3ec_multigraph
 from hamconn.errors import (
     DegenerateCoreError,
     DisconnectedGraphError,
     LiftFailedError,
-    NoCoreLocationError,
 )
 from hamconn.invariants import edge_connectivity, vertices_dominate_edges
 from hamconn.multigraph import (
@@ -124,32 +123,6 @@ class TestCore:
                 len(p) for p in cm.edge_expansion.values()
             )
             assert covered == h.edge_count
-
-
-class TestProjectVertex:
-    def test_surviving_vertex(self, k4_with_pendants):
-        cm = core(k4_with_pendants)
-        loc = project_vertex(cm, 0)
-        assert loc.kind == "vertex"
-
-    def test_subdivision_vertex(self, subdivided_k4):
-        cm = core(subdivided_k4)
-        loc = project_vertex(cm, 4)
-        assert loc.kind == "edge"
-        assert len(cm.edge_expansion[loc.index]) == 2
-
-    def test_stripped_leaf_has_no_location(self, k4_with_pendants):
-        cm = core(k4_with_pendants)
-        with pytest.raises(NoCoreLocationError):
-            project_vertex(cm, 4)
-
-    def test_support_with_nonpendant_degree_2(self, subdivided_k4):
-        # pendant at the subdivision vertex (not essentially 3EC)
-        g = subdivided_k4
-        h = Multigraph(g.n + 1, list(g.endpoints) + [(4, g.n)])
-        cm = core(h)
-        loc = project_vertex(cm, 4)
-        assert loc.kind == "edge"
 
 
 class TestLifting:

@@ -1,5 +1,9 @@
+import io
+import sys
+
 import pytest
 
+from hamconn.constructions import wagner_counterexample
 from hamconn.errors import GraphError
 from hamconn.harness import (
     VerificationReport,
@@ -9,6 +13,7 @@ from hamconn.harness import (
     verify_theorem_graphs,
     write_witnesses,
 )
+from hamconn.linegraph import line_graph
 from hamconn.multigraph import cycle_graph
 
 from oracles import enumerate_labeled_upto
@@ -91,7 +96,7 @@ class TestVerifyEnumerated:
             assert tuple(c for _, c in report.stage_counts) == expected[bound]
             assert report.violations == ()
 
-    def test_violation_counts_its_labeled_copies(self, monkeypatch, tmp_path):
+    def test_violation_counts_its_labeled_copies(self, monkeypatch):
         # Only K4 stays hamiltonian on 4 vertices: C4 (3 labeled copies) and
         # K4 minus an edge (6 copies) become one violation each.
         import hamconn.harness as harness
@@ -109,10 +114,10 @@ class TestVerifyEnumerated:
         assert labeled.stage_counts == report.stage_counts and len(labeled.violations) == 9
         text = report.format()
         assert "copies=3" in text and "copies=6" in text
-        path = tmp_path / "w.txt"
-        write_witnesses(report, str(path))
-        assert path.read_text() == "".join(f"{v.graph6}\n" for v in report.violations)
-        assert len(path.read_text().splitlines()) == 2
+        out = io.StringIO()
+        write_witnesses(report, out)
+        assert out.getvalue() == "".join(f"{v.graph6}\n" for v in report.violations)
+        assert len(out.getvalue().splitlines()) == 2
 
     def test_failed_monotonicity_check_raises(self, monkeypatch):
         from hamconn.errors import LiftFailedError
@@ -155,7 +160,7 @@ class TestVerifyGraphs:
         assert counts["3-connected"] == 1  # only K4
         assert counts["hamiltonian-connected"] == 1 and vr.passed
 
-    def test_witness_file(self, tmp_path):
+    def test_witness_file(self):
         from hamconn.harness import Violation
 
         report = VerificationReport(
@@ -164,9 +169,9 @@ class TestVerifyGraphs:
             violations=(Violation("D~{", (0, 1)), Violation("C~", None)),
             elapsed=0.0,
         )
-        path = tmp_path / "w.txt"
-        write_witnesses(report, str(path))
-        assert path.read_text() == "D~{ 0 1\nC~\n"
+        out = io.StringIO()
+        write_witnesses(report, out)
+        assert out.getvalue() == "D~{ 0 1\nC~\n"
 
 
 class TestPropertyTable:
@@ -194,6 +199,37 @@ class TestPropertyTable:
         assert rows["claw-free"] is True
         assert rows["domination number"] == 4
         assert rows["hamiltonian-connected"] is False
+
+
+def _count_line_graph_builds(monkeypatch) -> list:
+    """Route every hamconn module's ``line_graph`` through a recorder; the
+    list it returns holds one entry per line graph built."""
+    built = []
+
+    def counting(h):
+        built.append(h)
+        return line_graph(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hamconn" and getattr(module, "line_graph", None) is line_graph:
+            monkeypatch.setattr(module, "line_graph", counting)
+    return built
+
+
+class TestLineGraphBuiltOnce:
+    # L(H_1) has 20 vertices; the IDT census checks the caller's copy
+    # instead of building its own
+
+    def test_counterexample_report(self, monkeypatch):
+        built = _count_line_graph_builds(monkeypatch)
+        counterexample_report(1)
+        assert len(built) == 1
+
+    def test_property_table(self, monkeypatch):
+        g, _ = wagner_counterexample(1)
+        built = _count_line_graph_builds(monkeypatch)
+        assert dict(property_table(g))["hamiltonian-connected"] is False
+        assert len(built) == 1
 
 
 class TestCounterexampleReport:

@@ -9,6 +9,7 @@ from hamconn.core import core
 from hamconn.errors import (
     GraphError,
     LiftFailedError,
+    NoCoreLocationError,
     NotALineGraphOfMultigraphError,
     NotEssentially3EdgeConnectedError,
 )
@@ -78,6 +79,15 @@ class TestProjectEdge:
         cm = core(h)
         ce = project_edge(cm, 8)  # pendant (0,5)
         assert not cm.core.is_loop(ce)
+
+    def test_support_stripped_too_has_no_core_location(self):
+        # K4 plus the path 0-4-5: (4, 5) goes first, then (0, 4) with 4
+        h = Multigraph(6, list(complete_graph(4).endpoints) + [(0, 4), (4, 5)])
+        cm = core(h)
+        assert cm.pendant_support == {7: 4, 6: 0}
+        assert project_edge(cm, 6) == project_edge(cm, 0)
+        with pytest.raises(NoCoreLocationError):
+            project_edge(cm, 7)
 
 
 class TestBuildHn:
@@ -164,7 +174,8 @@ class TestIdtToHamPath:
 class TestMissingIdtPair:
     def test_agrees_with_the_line_graph_search(self, equivalence_corpus):
         for h in equivalence_corpus:
-            assert missing_idt_pair(h) == missing_hamiltonian_pair(line_graph(h)), h.endpoints
+            g = line_graph(h)
+            assert missing_idt_pair(g, h) == missing_hamiltonian_pair(g), h.endpoints
 
     def test_every_pair_before_the_answer_is_certified(self, monkeypatch):
         g, h = wagner_counterexample(1)
@@ -176,7 +187,7 @@ class TestMissingIdtPair:
             return path
 
         monkeypatch.setattr(reduction, "idt_to_ham_path", recording)
-        pair = missing_idt_pair(h)
+        pair = missing_idt_pair(g, h)
         assert pair == (8, 10)
         before = [p for p in itertools.combinations(range(h.edge_count), 2) if p < pair]
         assert [(p.vertices[0], p.vertices[-1]) for p in paths] == before
@@ -186,28 +197,28 @@ class TestMissingIdtPair:
             path.validate()
 
     def test_witness_from_another_host_is_refused(self, monkeypatch):
-        _, h = wagner_counterexample(1)
+        g, h = wagner_counterexample(1)
         other = Multigraph(h.n + 1, list(h.endpoints) + [(0, h.n)])
         monkeypatch.setattr(reduction, "find_idt", lambda _, e1, e2: find_idt(other, e1, e2))
         with pytest.raises(LiftFailedError):
-            missing_idt_pair(h)
+            missing_idt_pair(g, h)
 
-    def test_line_graph_missing_an_adjacency_is_refused(self, monkeypatch):
-        # a negative answer rests on L(H) being exact, so L(H) is checked
+    def test_line_graph_missing_an_adjacency_is_refused(self):
+        # a negative answer rests on g being exactly L(H), so g is checked
         # against the shared endpoints before the census starts
-        _, h = wagner_counterexample(1)
-
-        def dropping(h_):
-            g = line_graph(h_)
-            return SimpleGraph(g.n, g.endpoints[1:])
-
-        monkeypatch.setattr(reduction, "line_graph", dropping)
+        g, h = wagner_counterexample(1)
         with pytest.raises(LiftFailedError, match="adjacency"):
-            missing_idt_pair(h)
+            missing_idt_pair(SimpleGraph(g.n, g.endpoints[1:]), h)
+
+    def test_line_graph_of_another_size_is_refused(self):
+        g, h = wagner_counterexample(1)
+        with pytest.raises(LiftFailedError, match="one vertex per source edge"):
+            missing_idt_pair(SimpleGraph(g.n + 1, g.endpoints), h)
 
     def test_too_few_edges_rejected(self):
+        h = Multigraph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
-            missing_idt_pair(Multigraph(3, [(0, 1), (1, 2)]))
+            missing_idt_pair(line_graph(h), h)
 
 
 class TestCheckHamPath:
@@ -292,7 +303,6 @@ class TestPipeline:
             return line_graph(h)
 
         monkeypatch.setattr(linegraph, "line_graph", counting)
-        monkeypatch.setattr(reduction, "line_graph", counting)
         for host, u, v, d in cases:
             built.clear()
             run = run_pipeline(host, u, v, d)
