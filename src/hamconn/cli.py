@@ -26,6 +26,7 @@ from typing import Optional
 from .constructions import petersen, wagner
 from .corpus import (
     MAX_CLAW_FREE_VERTICES,
+    MAX_INPUT_VERTICES,
     random_3_edge_connected_multigraph,
     random_essentially_3ec_multigraph,
     random_multigraph,
@@ -170,9 +171,9 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(least: int, what: str):
-    """An argparse type: an integer of at least ``least``, else a parse-time
-    error."""
+def _int_at_least(least: int, what: str, most: Optional[int] = None):
+    """An argparse type: an integer of at least ``least`` and, when given,
+    at most ``most``, else a parse-time error."""
 
     def parse(text: str) -> int:
         try:
@@ -181,13 +182,18 @@ def _int_at_least(least: int, what: str):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"needs at least {least} {what}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"takes at most {most} {what}, got {value}")
         return value
 
     return parse
 
 
+#: The largest P whose L(H_P), on 12 + 8P vertices, is within the input cap.
+MAX_PENDANTS = (MAX_INPUT_VERTICES - 12) // 8
+
 _worker_count = _int_at_least(1, "worker")
-_pendant_count = _int_at_least(1, "pendant edge per vertex")
+_pendant_count = _int_at_least(1, "pendant edge per vertex", MAX_PENDANTS)
 _vertex_bound = _int_at_least(1, "vertex")
 _graph_count = _int_at_least(0, "graphs")
 
@@ -229,7 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("counterexample", help="sharpness family from the Wagner graph")
-    p.add_argument("pendants", type=_pendant_count, nargs="?", default=1)
+    p.add_argument(
+        "pendants",
+        type=_pendant_count,
+        nargs="?",
+        default=1,
+        help=f"pendant edges per vertex, 1 to {MAX_PENDANTS} (the line graph has 12 + 8P vertices)",
+    )
     p.add_argument("--emit", help="write edge lists to this file")
     p.set_defaults(func=cmd_counterexample)
 

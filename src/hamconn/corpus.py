@@ -62,8 +62,22 @@ MAX_ENUMERATION_VERTICES = len(_CLASS_COUNTS)
 MAX_CLAW_FREE_VERTICES = len(_CLAW_FREE_CLASS_COUNTS)
 
 
+#: The most vertices a graph read from a file may have.  A few bytes of
+#: sparse6 or edge list can declare billions of vertices, and every check
+#: builds per-vertex tables; at the cap an n-by-n bit table is 2 MB.
+MAX_INPUT_VERTICES = 4096
+
+
+def _within_cap(graph: Multigraph, where: str) -> Multigraph:
+    if graph.n > MAX_INPUT_VERTICES:
+        raise EncodingError(f"{where}: {graph.n} vertices, above the input cap of {MAX_INPUT_VERTICES}")
+    return graph
+
+
 def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
-    """Decode a corpus file line by line, reporting errors with file/line."""
+    """Decode a corpus file line by line, reporting errors with file/line;
+    a graph above ``MAX_INPUT_VERTICES`` vertices is an error at its line
+    (an edge list's header line)."""
     graphs: list[Multigraph] = []
     with open(path) as fh:
         try:
@@ -75,7 +89,9 @@ def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
             graph = decode_edgelist(text)
         except EncodingError as exc:
             raise EncodingError(f"{path}: {exc}") from exc
-        return [graph]
+        lines = enumerate(text.splitlines(), start=1)
+        header = next(lineno for lineno, line in lines if line.split("#", 1)[0].strip())
+        return [_within_cap(graph, f"{path}:{header}")]
     decoder = {"g6": decode_graph6, "s6": decode_sparse6}.get(fmt)
     if decoder is None:
         raise EncodingError(f"unknown format {fmt!r}")
@@ -86,7 +102,7 @@ def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
             graph = decoder(line)
         except EncodingError as exc:
             raise EncodingError(f"{path}:{lineno}: {exc}") from exc
-        graphs.append(graph)
+        graphs.append(_within_cap(graph, f"{path}:{lineno}"))
     return graphs
 
 _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(MAX_ENUMERATION_VERTICES + 1)}
@@ -161,6 +177,7 @@ def graph_classes(
             new = n - 1
             expected = sum(entry[1] for entry in level) << new
             children: list = []
+            pairs = [(v, new) for v in range(new)]
             for parent, weight, automorphisms in level:
                 if automorphisms is None:
                     automorphisms = _checked_labeling(parent)[1]
@@ -186,7 +203,7 @@ def graph_classes(
                     )
                     if not ties:
                         continue
-                    edges = tuple((v, new) for v in range(new) if mask >> v & 1)
+                    edges = tuple(pairs[v] for v in _mask_vertices(mask))
                     child = SimpleGraph(n, parent.endpoints + edges)
                     found, w_orbit = None, 1 << new
                     if ties != w_orbit:

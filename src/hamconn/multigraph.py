@@ -1,12 +1,14 @@
 """Immutable multigraph / simple graph model.
 
 Vertices are the dense integers ``0..n-1`` and edges carry dense integer ids
-``0..m-1``; parallel edges get distinct ids and loops are allowed (a loop
+``0..m-1``: an edge's id is its position in ``endpoints``, which stores each
+edge once, and normalized edge tuples are shared between graphs, never
+copied.  Parallel edges get distinct ids and loops are allowed (a loop
 contributes 2 to the degree of its vertex).  All graphs are immutable after
 construction: the one editing operation, :meth:`Multigraph.subdivide`,
-returns a new graph that keeps every edge id (the subdivided edge's id
-goes to its half at the smaller end), so callers can track any edge through
-the edit.
+returns a new graph that keeps every edge id (the subdivided edge's id goes
+to its half at the smaller end), so callers can track any edge through the
+edit.
 
 Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
 grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
@@ -81,10 +83,11 @@ class Multigraph:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         normalized = []
-        for u, v in edges:
+        for edge in edges:
+            u, v = edge
             if not (0 <= u < n) or not (0 <= v < n):
                 raise UnknownVertexError(f"edge ({u}, {v}) leaves vertex range 0..{n - 1}")
-            normalized.append((u, v) if u <= v else (v, u))
+            normalized.append(edge if type(edge) is tuple and u <= v else (min(u, v), max(u, v)))
         self.n = n
         self.endpoints: tuple[tuple[int, int], ...] = tuple(normalized)
         self._incidence: Optional[tuple] = None
@@ -190,9 +193,8 @@ class Multigraph:
         """
         self.check_edge(e)
         u, v = self.endpoints[e]
-        edges = list(self.endpoints)
+        edges = [*self.endpoints, (v, self.n)]
         edges[e] = (u, self.n)
-        edges.append((v, self.n))
         return Multigraph(self.n + 1, edges)
 
     # -- equality / hashing (labeled, structural) ---------------------------
@@ -213,31 +215,28 @@ class Multigraph:
 
 
 class SimpleGraph(Multigraph):
-    """Loop-free multigraph without parallel edges."""
+    """Loop-free multigraph without parallel edges.  The id of edge ``(u, v)``,
+    ``u < v``, is its position in ``endpoints``; a normalized input tuple is
+    shared, not copied.  Construction fills the ``adjacency_masks()`` cache."""
 
-    __slots__ = ("_edge_ids",)
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
-        ids: dict[tuple[int, int], int] = {}
-        for e, (u, v) in enumerate(self.endpoints):
+        masks = [0] * n
+        for u, v in self.endpoints:
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed in a simple graph")
-            if (u, v) in ids:
+            if masks[u] >> v & 1:
                 raise GraphError(f"parallel edge ({u}, {v}) not allowed in a simple graph")
-            ids[(u, v)] = e
-        self._edge_ids = ids
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._adjacency = tuple(masks)
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
         return bool(self.adjacency_masks()[u] >> v & 1)
-
-    def edge_id(self, u: int, v: int) -> int:
-        try:
-            return self._edge_ids[(u, v) if u <= v else (v, u)]
-        except KeyError:
-            raise UnknownEdgeError(f"no edge joins {u} and {v}") from None
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2

@@ -376,7 +376,8 @@ def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) 
     _check_order(g.adjacency_masks(), order)
     if closed:
         order = [*order, order[0]]
-    edges = tuple(g.edge_id(u, v) for u, v in zip(order, order[1:]))
+    ids = {pair: e for e, pair in enumerate(g.endpoints)}
+    edges = tuple(ids[(u, v) if u < v else (v, u)] for u, v in zip(order, order[1:]))
     trail = Trail(g, tuple(order), edges)
     trail.validate()
     return trail

@@ -2,6 +2,7 @@ import pytest
 
 from hamconn import cli
 from hamconn.cli import main
+from hamconn.corpus import MAX_INPUT_VERTICES
 from hamconn.encoding import decode_sparse6, encode_graph6
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import complete_graph, star_graph
@@ -89,6 +90,35 @@ class TestPendantCount:
             main(["counterexample", count])
         assert exc.value.code == 2
         assert "pendants" in capsys.readouterr().err
+
+    def test_above_the_input_cap_rejected_at_parse_time(self, capsys):
+        assert cli.build_parser().parse_args(["counterexample", "510"]).pendants == 510
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "511"])
+        assert exc.value.code == 2
+        assert "at most 510" in capsys.readouterr().err
+
+
+class TestInputCap:
+    # a few bytes that declare a graph far above MAX_INPUT_VERTICES
+    FILES = {
+        "s6": (":~~~~~~~~\n", 1, 68719476735),
+        "el": ("# edgeless\n5000 0\n", 2, 5000),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(FILES))
+    @pytest.mark.parametrize(
+        "argv", [["props"], ["verify"], ["pipeline", "0", "1"]], ids=["props", "verify", "pipeline"]
+    )
+    def test_is_an_input_error_at_the_line(self, argv, fmt, tmp_path, capsys):
+        text, line, n = self.FILES[fmt]
+        path = tmp_path / f"huge.{fmt}"
+        path.write_text(text)
+        assert main(argv + ["--input", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        cap = f"above the input cap of {MAX_INPUT_VERTICES}"
+        assert err == f"input error: {path}:{line}: {n} vertices, {cap}\n"
 
 
 class TestUnexpectedErrors:

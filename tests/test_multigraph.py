@@ -52,10 +52,39 @@ class TestBasics:
             k4.is_loop(99)
 
     def test_simple_graph_rejects_loops_and_parallels(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="loop at vertex 0 not allowed"):
             SimpleGraph(2, [(0, 0)])
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"parallel edge \(0, 1\) not allowed"):
             SimpleGraph(2, [(0, 1), (1, 0)])
+        # the first offending edge is reported
+        with pytest.raises(GraphError, match=r"parallel edge \(1, 2\)"):
+            SimpleGraph(3, [(1, 2), (2, 1), (0, 0)])
+
+    def test_normalized_input_tuples_are_kept(self):
+        edges = [(0, 1), (1, 2), (0, 2)]
+        g = Multigraph(3, edges)
+        assert all(g.endpoints[i] is edges[i] for i in range(3))
+
+    def test_other_inputs_become_normalized_tuples(self):
+        g = Multigraph(3, [(1, 0), [1, 2], [2, 0]])
+        assert g.endpoints == ((0, 1), (1, 2), (0, 2))
+        assert all(type(pair) is tuple for pair in g.endpoints)
+        assert hash(g) == hash(Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
+
+    def test_a_graph_built_from_endpoints_shares_the_tuples(self):
+        g = SimpleGraph(3, [(0, 1), (1, 2)])
+        child = SimpleGraph(4, g.endpoints + ((2, 3),))
+        assert all(a is b for a, b in zip(child.endpoints, g.endpoints))
+        sub = g.subdivide(0)
+        assert sub.endpoints[1] is g.endpoints[1]
+
+    def test_simple_graph_masks_match_the_multigraph_ones(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(0, 9)
+            pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            edges = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+            assert SimpleGraph(n, edges).adjacency_masks() == Multigraph(n, edges).adjacency_masks()
 
     def test_degree_sum_is_twice_edge_count(self):
         rng = random.Random(3)

@@ -229,7 +229,7 @@ class TestCheckHamPath:
             reversed_path = Trail(k4, path.vertices[::-1], path.edges[::-1])
             reduction._check_ham_path(k4, reversed_path, 0, 3)
         with pytest.raises(LiftFailedError):
-            reduction._check_ham_path(k4, Trail(k4, (0, 3), (k4.edge_id(0, 3),)), 0, 3)
+            reduction._check_ham_path(k4, Trail(k4, (0, 3), (k4.endpoints.index((0, 3)),)), 0, 3)
 
 
 class TestPipeline:
