@@ -12,18 +12,20 @@ the neighbor set of a new vertex, only one neighbor set per orbit of the
 parent's automorphism group is tried, and a child is kept only when the
 new vertex is in the orbit of its canonical deletion vertex, so each class
 is produced once and nothing is merged.  Most children are decided by a
-vertex invariant alone; the others are labeled, and their automorphisms,
-which the labeling's search collects to prune itself, give the orbit of
-the new vertex and, once the child is a parent, the orbits of its neighbor
-sets.  A class's labeled count is n! / |Aut|, carried from its parent
-through the two orbit sizes.
+vertex invariant alone, and a neighbor set with fewer vertices than the
+parent's largest degree before the child is even built; the others are
+labeled, and their automorphisms, which the labeling's search collects
+to prune itself and which are checked on neighbor bitmasks, give the
+orbit of the new vertex and, once the child is a parent, the orbits of
+its neighbor sets.  A class's labeled count is n! / |Aut|, carried from
+its parent through the two orbit sizes.
 
 Claw-freeness is hereditary: deleting any vertex of a claw-free graph,
 the canonical deletion vertex included, leaves a claw-free graph.  So
 ``graph_classes(n, claw_free=True)`` extends only claw-free classes and
-drops, with one bitmask test per orbit and before any labeling, each
-neighbor set that closes a claw (1,715
-classes on up to 8 vertices, 42,179 on up to 10).  The labeled counts of
+drops, with one bitmask test per orbit and before the degree test and
+any labeling, each neighbor set that closes a claw (1,715 classes on up
+to 8 vertices, 42,179 on up to 10).  The labeled counts of
 all graphs and of connected graphs, which the exhaustive check still
 reports, have closed forms (:func:`labeled_counts`).
 
@@ -47,7 +49,6 @@ from .multigraph import (
     ISOMORPHISM_SIZE_GUARD,
     Multigraph,
     SimpleGraph,
-    _is_isomorphism,
     _mask_vertices,
     canonical_labeling,
 )
@@ -138,7 +139,10 @@ def graph_classes(
     vertex.  A child where another vertex has a larger invariant than w is
     rejected without a labeling, and one where w alone has the largest is
     kept without one; its automorphisms are found when it becomes a parent,
-    so the last level labels only children with ties.
+    so the last level labels only children with ties.  A mask with fewer
+    vertices than the parent's largest degree gives w a smaller degree than
+    some other vertex, so that orbit is rejected on the mask's bit count
+    before the child's neighbor bitmasks are built.
 
     A class's labeled count is n! / |Aut|.  The automorphisms of a child
     that fix w are those of its parent that fix the mask, so a kept child
@@ -148,11 +152,13 @@ def graph_classes(
     A claw-free graph's parent is claw-free, so with ``claw_free`` only
     claw-free classes are extended, and an orbit whose least mask closes a
     claw through the new vertex (:func:`_makes_claw`) is rejected before
-    anything else.  The canonical deletion depends on the child alone, so
-    every claw-free class has the same representative and count as in the
-    full generation.
+    anything else, the degree test included, so that its orbit's weight
+    still joins the level's sum.  The canonical deletion depends on the
+    child alone, so every claw-free class has the same representative and
+    count as in the full generation.
 
-    Each automorphism must map its graph's edges onto themselves, each
+    Each automorphism must map its graph's edges onto themselves (checked
+    on the neighbor bitmasks by :func:`_checked_labeling`), each
     labeled count must divide exactly, the counts of a level's classes plus
     those of its claw-rejected orbits must add up to its parents' counts
     times 2^(n - 1) (2^C(n, 2) in all when nothing is rejected), and its
@@ -183,6 +189,7 @@ def graph_classes(
                     automorphisms = _checked_labeling(parent)[1]
                 images = _mask_images(parent, automorphisms)
                 adjacency = parent.adjacency_masks()
+                top = max(a.bit_count() for a in adjacency)
                 seen = bytearray(1 << new)
                 for mask in range(1 << new):
                     if seen[mask]:
@@ -197,6 +204,10 @@ def graph_classes(
                                 orbit.append(other)
                     if claw_free and _makes_claw(adjacency, mask):
                         rejected += weight * len(orbit)
+                        continue
+                    # w's degree is below another vertex's: _deletion_ties
+                    # would reject the child, so it is not built
+                    if mask.bit_count() < top:
                         continue
                     ties = _deletion_ties(
                         [a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)] + [mask]
@@ -227,11 +238,20 @@ def graph_classes(
 
 def _checked_labeling(g: SimpleGraph) -> tuple[tuple[int, ...], list]:
     """``canonical_labeling(g)`` and the automorphisms its search found;
-    raises ``LiftFailedError`` on a map that is not an automorphism."""
+    raises ``LiftFailedError`` on a map that is not an automorphism.
+
+    A map is one when it is a permutation of the vertices and takes every
+    edge onto an edge, tested on the neighbor bitmasks.  A permutation maps
+    the edges one to one, so it then maps them onto themselves: the image
+    of every vertex's neighbor bitmask is its image's bitmask."""
     automorphisms: list = []
     perm = canonical_labeling(g, automorphisms=automorphisms)
+    adjacency = g.adjacency_masks()
+    vertices = list(range(g.n))
     for aut in automorphisms:
-        if not _is_isomorphism(g, g, aut):
+        if sorted(aut) != vertices or not all(
+            adjacency[aut[u]] >> aut[v] & 1 for u, v in g.endpoints
+        ):
             raise LiftFailedError(f"{aut} is not an automorphism of {g!r}")
     return perm, automorphisms
 
@@ -269,31 +289,28 @@ def _orbit(automorphisms: list, v: int) -> int:
 
 def _makes_claw(adjacency: list[int], mask: int) -> bool:
     """Whether a new vertex joined to the vertices of ``mask`` closes a claw
-    in the claw-free graph with neighbor bitmasks ``adjacency``: as the
-    center, when the mask holds three pairwise non-adjacent vertices, or as
-    a leaf, when some vertex of the mask has two non-adjacent neighbors
-    outside the mask."""
-    if _has_independent(adjacency, mask, 3):
-        return True
+    in the claw-free graph with neighbor bitmasks ``adjacency``: as a leaf,
+    when some vertex v of the mask has two non-adjacent neighbors outside
+    the mask, or as the center, when v is the least of three pairwise
+    non-adjacent vertices of the mask."""
     rest = mask
     while rest:
         low = rest & -rest
         rest ^= low
-        if _has_independent(adjacency, adjacency[low.bit_length() - 1] & ~mask, 2):
-            return True
-    return False
-
-
-def _has_independent(adjacency: list[int], vertices: int, k: int) -> bool:
-    """Whether the vertex bitmask ``vertices`` holds ``k`` pairwise
-    non-adjacent vertices."""
-    if k == 1:
-        return vertices != 0
-    while vertices:
-        low = vertices & -vertices
-        vertices ^= low
-        if _has_independent(adjacency, vertices & ~adjacency[low.bit_length() - 1], k - 1):
-            return True
+        near = adjacency[low.bit_length() - 1]
+        outside = near & ~mask
+        while outside:
+            u = outside & -outside
+            outside ^= u
+            if outside & ~adjacency[u.bit_length() - 1]:
+                return True
+        # the mask vertices above v that v does not see
+        far = rest & ~near
+        while far:
+            u = far & -far
+            far ^= u
+            if far & ~adjacency[u.bit_length() - 1]:
+                return True
     return False
 
 

@@ -419,15 +419,31 @@ def is_hamiltonian_connected(g: SimpleGraph) -> bool:
     return missing_hamiltonian_pair(g) is None
 
 
-def find_hamiltonian_cycle(g: SimpleGraph) -> Optional[Trail]:
-    """A spanning cycle as a closed trail, or ``None``."""
+def _cycle_order(g: SimpleGraph) -> Optional[list[int]]:
+    """The vertices of a spanning cycle in cycle order, checked on the
+    adjacency masks, or ``None``; raises ``LiftFailedError`` on an order
+    that is not a cycle."""
     if g.n < 3:
         raise GraphError("hamiltonian cycles need at least 3 vertices")
     if not g.is_connected():
         return None
-    order = _hamiltonian_order(g, 0, g.adjacency_masks()[0])
+    masks = g.adjacency_masks()
+    order = _hamiltonian_order(g, 0, masks[0])
+    if order is None:
+        return None
+    _check_order(masks, order)
+    if not masks[order[-1]] >> order[0] & 1:
+        raise LiftFailedError(f"hamiltonian cycle closes along a non-edge ({order[-1]}, {order[0]})")
+    return order
+
+
+def find_hamiltonian_cycle(g: SimpleGraph) -> Optional[Trail]:
+    """A spanning cycle as a closed trail, or ``None``."""
+    order = _cycle_order(g)
     return None if order is None else _order_trail(g, order, closed=True)
 
 
 def is_hamiltonian(g: SimpleGraph) -> bool:
-    return find_hamiltonian_cycle(g) is not None
+    """Whether ``g`` has a spanning cycle; the cycle found is checked but
+    not built as a ``Trail``."""
+    return _cycle_order(g) is not None

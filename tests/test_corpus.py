@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -189,18 +190,44 @@ class TestIsomorphismClasses:
 
     def test_a_generator_that_is_no_automorphism_is_caught(self, monkeypatch):
         # swapping vertices 0 and 1 is not an automorphism of most graphs on
-        # 3 vertices; an orbit closed under it would merge distinct children
+        # 3 vertices; an orbit closed under it would merge distinct children.
+        # Maps that are no permutation of the vertices are refused before
+        # any of their entries is used as a vertex or a shift.
         from hamconn.multigraph import canonical_labeling
 
-        def with_a_bad_generator(g, **kwargs):
-            perm = canonical_labeling(g, **kwargs)
-            if g.n >= 2:
-                kwargs["automorphisms"].append([1, 0] + list(range(2, g.n)))
-            return perm
+        bad_maps = {
+            "not an automorphism": lambda n: [1, 0] + list(range(2, n)),
+            "repeated image": lambda n: [0] * n,
+            "too short": lambda n: list(range(n - 1)),
+            "too long": lambda n: list(range(n)) + [0],
+            "entry above n - 1": lambda n: list(range(n - 1)) + [n],
+            "negative entry": lambda n: [-1] + list(range(1, n)),
+        }
+        for kind, bad_map in bad_maps.items():
 
-        monkeypatch.setattr("hamconn.corpus.canonical_labeling", with_a_bad_generator)
-        with pytest.raises(LiftFailedError, match="not an automorphism"):
-            list(graph_classes(4))
+            def with_a_bad_generator(g, **kwargs):
+                perm = canonical_labeling(g, **kwargs)
+                if g.n >= 2:
+                    kwargs["automorphisms"].append(bad_map(g.n))
+                return perm
+
+            monkeypatch.setattr("hamconn.corpus.canonical_labeling", with_a_bad_generator)
+            with pytest.raises(LiftFailedError, match="not an automorphism"):
+                list(graph_classes(4))
+
+    def test_representatives_and_counts_are_pinned(self, graph_classes_8):
+        # a moved representative or a reordered class would change the
+        # witness files and the first failing pair that verify reports
+        def digest(classes):
+            sequence = [(g.n, g.endpoints, copies) for g, copies in classes]
+            return hashlib.sha256(repr(sequence).encode()).hexdigest()
+
+        assert digest(graph_classes_8) == (
+            "7d21e0e05d66e9d8b83be87715e055e20878d7364046d6fe7bcdf6a770246e85"
+        )
+        assert digest(graph_classes(8, claw_free=True)) == (
+            "afd78229d18343e6f73e31de1d5e976aff5a1c7b9ab60f92a7c37c8ca66b7ac1"
+        )
 
     def test_graph_classes_bound_enforced(self):
         with pytest.raises(GraphError):

@@ -31,6 +31,7 @@ from oracles import (
     brute_hamiltonian_cycle,
     brute_hamiltonian_path,
     brute_idt,
+    enumerate_labeled,
     spanning_connected_even_subgraph_exists,
 )
 
@@ -256,8 +257,21 @@ class TestHamiltonian:
     def test_order_that_skips_a_vertex_is_refused(self, k4, monkeypatch):
         # closing [0, 1, 2] gives a triangle of K4, not a spanning cycle
         monkeypatch.setattr(trails, "_hamiltonian_order", lambda *_, **__: [0, 1, 2])
-        with pytest.raises(LiftFailedError):
-            find_hamiltonian_cycle(k4)
+        for decide in (find_hamiltonian_cycle, is_hamiltonian):
+            with pytest.raises(LiftFailedError, match="not a permutation"):
+                decide(k4)
+
+    def test_order_that_does_not_close_is_refused(self, p4, monkeypatch):
+        # 0-1-2-3 is a hamiltonian path of P4, but 3 does not see 0
+        monkeypatch.setattr(trails, "_hamiltonian_order", lambda *_, **__: [0, 1, 2, 3])
+        for decide in (find_hamiltonian_cycle, is_hamiltonian):
+            with pytest.raises(LiftFailedError, match="closes along a non-edge"):
+                decide(p4)
+
+    def test_is_hamiltonian_on_every_labeled_graph(self):
+        for n in range(3, 7):
+            for g in enumerate_labeled(n):
+                assert is_hamiltonian(g) == brute_hamiltonian_cycle(g), g.endpoints
 
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(20)
