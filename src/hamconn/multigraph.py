@@ -13,10 +13,10 @@ edit.
 Reachability has two walks.  :func:`_bit_component` is vertex-restricted: it
 grows a component over the neighbor bitmasks of ``adjacency_masks()`` inside
 an allowed vertex set.  :func:`_edge_component` is edge-restricted: it walks
-``incidence()`` while avoiding a blocked edge mask; the essential edge cuts
-in ``invariants`` and the trail search's reachability prune in ``trails``
-are its callers.  ``edge_masks()`` holds each vertex's incident edges as a
-bitmask, for the edge-set questions asked next to the walk.
+``incidence()`` while avoiding a blocked edge mask; its one caller is the
+component count behind the essential edge cuts in ``invariants``.
+``edge_masks()`` holds each vertex's incident edges as a bitmask, for the
+edge-set questions asked next to the walk.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement on vertex bitmasks with automorphism pruning, which shortcuts

@@ -245,11 +245,14 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
 # -- IDT to hamiltonian path -----------------------------------------------------------
 
 
-def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
+def idt_to_ham_path(
+    g: SimpleGraph, witness: IdtWitness, *, ids: Optional[dict[tuple[int, int], int]] = None
+) -> Trail:
     """Order the trail's edges and insert each dominated non-trail edge next
     to an interior vertex it touches; the result is a hamiltonian path of
     the line graph ``g`` of the trail's host H between the terminal edges'
-    vertices (vertex i of ``g`` is edge i of H)."""
+    vertices (vertex i of ``g`` is edge i of H).  ``ids`` maps each edge
+    pair of ``g`` to its id, as in ``_order_trail``."""
     trail = witness.trail
     h = trail.host
     if h.edge_count < 3:
@@ -273,7 +276,7 @@ def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
     for j in interior:
         seq.extend(inserts.get(j, ()))
         seq.append(trail.edges[j])
-    return _order_trail(g, seq)
+    return _order_trail(g, seq, ids=ids)
 
 
 def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]:
@@ -295,11 +298,12 @@ def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]
     for e1, e2 in itertools.combinations(range(h.edge_count), 2):
         if g.has_edge(e1, e2) != bool(set(h.endpoints[e1]) & set(h.endpoints[e2])):
             raise LiftFailedError(f"adjacency of {e1}, {e2} disagrees with shared endpoints")
+    ids = {pair: e for e, pair in enumerate(g.endpoints)}
     for e1, e2 in itertools.combinations(range(h.edge_count), 2):
         witness = find_idt(h, e1, e2)
         if witness is None:
             return (e1, e2)
-        _check_ham_path(g, idt_to_ham_path(g, witness), e1, e2)
+        _check_ham_path(g, idt_to_ham_path(g, witness, ids=ids), e1, e2)
     return None
 
 

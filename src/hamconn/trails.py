@@ -5,12 +5,16 @@ vertex along a prescribed first edge and stops at a goal vertex, optionally
 taking a prescribed closing edge last.  Closed trails through an edge,
 spanning closed trails, dominating closed trails and internally dominating
 trails are all calls into it.  States are ``(current vertex, used-edge
-bitmask)``; dead states are memoized, and a state is pruned when the goal,
-a required vertex or (when asked) some edge's domination is out of reach
-along unused edges: reachability is ``_edge_component`` with the used edges
-blocked, and the edges a vertex dominates are its mask in the host's cached
-``edge_masks()``.  Loops are never traversed except when a loop is itself
-the prescribed first edge; loop edges still count for domination checks.
+bitmask)``; dead states are memoized under one int key,
+``used << n.bit_length() | cur``, and a state is pruned when the goal, a
+required vertex or (when asked) some edge's domination is out of reach
+along unused edges.  The search keeps each vertex's neighbors along unused
+edges as a bitmask, updated as edges are used and restored on backtrack,
+and one frontier walk over these masks per state yields both the vertices
+still reachable and the edges they dominate (each vertex's mask in the
+host's cached ``edge_masks()``).  Loops are never traversed except when a
+loop is itself the prescribed first edge; loop edges still count for
+domination checks.
 
 ``_hamiltonian_order`` orders the vertices of a simple graph from a start
 vertex to one of a set of end vertices; hamiltonian paths (one end) and
@@ -31,7 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import GraphError, LiftFailedError
 from .invariants import vertices_dominate_edges
-from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component
+from .multigraph import Multigraph, SimpleGraph, _bit_component
 
 
 @dataclass(frozen=True)
@@ -119,20 +123,37 @@ def _trail_search(
     A trail is accepted when ``seen`` contains ``required_mask`` and, when
     asked, touches every edge.  Loops, the ``banned`` edge mask and the
     closing edge are never extended along; they start out in the used mask.
+
+    ``avail[u]`` is the bitmask of u's neighbors along unused edges, and
+    ``twins[e]`` the edges with the same endpoints as ``e``: a step clears
+    its two ends from each other's masks only when it uses the last unused
+    edge between them, and backtracking sets them again.  At each state one
+    frontier walk over ``avail`` grows the component of the current vertex
+    and ORs the edges its vertices dominate; the goal, required-vertex and
+    domination prunes all read that one walk.
     """
     inc = h.incidence()
     cover = h.edge_masks()
     full_cover = (1 << h.edge_count) - 1
     used = banned | 1 << first_edge
+    if closing_edge is not None:
+        used |= 1 << closing_edge
+    avail = [0] * h.n
+    parallel: dict[tuple[int, int], int] = {}
     for e, (u, v) in enumerate(h.endpoints):
         if u == v:
             used |= 1 << e
-    if closing_edge is not None:
-        used |= 1 << closing_edge
+            continue
+        parallel[u, v] = parallel.get((u, v), 0) | 1 << e
+        if not used >> e & 1:
+            avail[u] |= 1 << v
+            avail[v] |= 1 << u
+    twins = [parallel.get(pair, 0) for pair in h.endpoints]
     second = h.other_end(first_edge, start)
     verts = [start, second]
     edges = [first_edge]
-    dead: set[tuple[int, int]] = set()
+    shift = h.n.bit_length()
+    dead: set[int] = set()
 
     def search(cur: int, used: int, seen: int, covered: int) -> bool:
         if goal >> cur & 1 and not (required_mask & ~seen):
@@ -141,32 +162,45 @@ def _trail_search(
                     verts.append(h.other_end(closing_edge, cur))
                     edges.append(closing_edge)
                 return True
-        key = (cur, used)
+        key = used << shift | cur
         if key in dead:
             return False
-        comp = _edge_component(inc, cur, used)
-        if not (comp & goal) or required_mask & ~(seen | comp):
+        comp = frontier = 1 << cur
+        future = covered
+        while frontier:
+            nxt = 0
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                nxt |= avail[v]
+                future |= cover[v]
+            frontier = nxt & ~comp
+            comp |= frontier
+        if (
+            not (comp & goal)
+            or required_mask & ~(seen | comp)
+            or need_domination and future != full_cover
+        ):
             dead.add(key)
             return False
-        if need_domination:
-            future = covered
-            rest = comp & ~seen
-            while rest:
-                w = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                future |= cover[w]
-            if future != full_cover:
-                dead.add(key)
-                return False
+        cur_bit = 1 << cur
         for eid, w in inc[cur]:
             if used >> eid & 1:
                 continue
+            step = used | 1 << eid
+            last = not twins[eid] & ~step
+            if last:
+                avail[cur] &= ~(1 << w)
+                avail[w] &= ~cur_bit
             verts.append(w)
             edges.append(eid)
-            if search(w, used | (1 << eid), seen | (1 << w), covered | cover[w]):
+            if search(w, step, seen | (1 << w), covered | cover[w]):
                 return True
             verts.pop()
             edges.pop()
+            if last:
+                avail[cur] |= 1 << w
+                avail[w] |= cur_bit
         dead.add(key)
         return False
 
@@ -370,13 +404,22 @@ def _hamiltonian_order(
     return order if found else None
 
 
-def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) -> Trail:
+def _order_trail(
+    g: SimpleGraph,
+    order: Sequence[int],
+    *,
+    closed: bool = False,
+    ids: Optional[dict[tuple[int, int], int]] = None,
+) -> Trail:
     """The hamiltonian path along ``order``, checked; with ``closed``, the
-    cycle that steps back to ``order[0]`` at the end."""
+    cycle that steps back to ``order[0]`` at the end.  ``ids`` maps each
+    edge pair of ``g`` to its id; callers that order many trails on one
+    graph build it once."""
     _check_order(g.adjacency_masks(), order)
     if closed:
         order = [*order, order[0]]
-    ids = {pair: e for e, pair in enumerate(g.endpoints)}
+    if ids is None:
+        ids = {pair: e for e, pair in enumerate(g.endpoints)}
     edges = tuple(ids[(u, v) if u < v else (v, u)] for u, v in zip(order, order[1:]))
     trail = Trail(g, tuple(order), edges)
     trail.validate()

@@ -181,8 +181,8 @@ class TestMissingIdtPair:
         g, h = wagner_counterexample(1)
         paths = []
 
-        def recording(g_, witness):
-            path = idt_to_ham_path(g_, witness)
+        def recording(g_, witness, **options):
+            path = idt_to_ham_path(g_, witness, **options)
             paths.append(path)
             return path
 

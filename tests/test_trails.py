@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from hamconn import trails
+from hamconn.constructions import wagner_counterexample
 from hamconn.corpus import (
     enumerate_multigraph_corpus,
     random_3_edge_connected_multigraph,
@@ -49,6 +51,11 @@ class TestTrailType:
         assert t.is_closed
 
 
+# 0 =e0,e5= 1 =e1,e2= 2 =e3,e4= 3 -e6- 4: three parallel pairs on a path
+# and a pendant edge.
+_BACKTRACK_TWINS = [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (0, 1), (3, 4)]
+
+
 class TestClosedTrailThrough:
     def test_k4_supereulerian_through_any_edge(self, k4):
         for e in range(k4.edge_count):
@@ -87,6 +94,17 @@ class TestClosedTrailThrough:
         h = Multigraph(2, [(0, 0), (0, 1), (0, 1)])
         t = find_closed_trail_through(h, [1], 0)
         assert t is not None and 0 in t.edges
+
+    def test_way_back_along_the_second_parallel_edge(self):
+        # the search first walks 1 -e1- 2 -e2- 1, a dead end because 3 is
+        # required; it backtracks, goes 2 -e3- 3 -e4- 2 and returns to 1
+        # along e2, the twin of e1: 1 and 2 must stay joined after e1 is
+        # used and again after e2 is given back
+        h = Multigraph(5, _BACKTRACK_TWINS)
+        assert brute_closed_trail_through(h, [3], 0)
+        t = find_closed_trail_through(h, [3], 0)
+        assert t is not None
+        assert (t.vertices, t.edges) == ((0, 1, 2, 3, 2, 1, 0), (0, 1, 3, 4, 2, 5))
 
 
 class TestSpanningClosedTrail:
@@ -166,18 +184,62 @@ class TestIdt:
 
     def test_agrees_with_unpruned_oracle(self):
         rng = random.Random(18)
-        checked = 0
+        checked = loop_terminals = 0
         for _ in range(50):
             h = random_multigraph(rng, max_vertices=5, max_edges=6)
+            if rng.random() < 0.5:
+                v = rng.randrange(h.n)
+                h = Multigraph(h.n, [*h.endpoints, (v, v)])
             if h.edge_count < 3:
                 continue
             for e1, e2 in itertools.permutations(range(h.edge_count), 2):
-                if h.is_loop(e1) or h.is_loop(e2):
-                    continue
                 checked += 1
+                loop_terminals += h.is_loop(e1) or h.is_loop(e2)
                 mine = find_idt(h, e1, e2)
                 assert (mine is not None) == brute_idt(h, e1, e2), (h.endpoints, e1, e2)
-        assert checked > 200
+        assert checked > 200 and loop_terminals > 50
+
+    def test_way_back_along_the_second_parallel_edge(self):
+        # the interior must reach 3 to dominate e6; see TestClosedTrailThrough
+        h = Multigraph(5, _BACKTRACK_TWINS)
+        for e1, e2 in ((0, 5), (5, 0)):
+            assert brute_idt(h, e1, e2)
+            w = find_idt(h, e1, e2)
+            assert w is not None
+            assert w.trail.vertices == (0, 1, 2, 3, 2, 1, 0)
+            assert w.trail.edges == (e1, 1, 3, 4, 2, e2)
+
+
+class TestTrailEngineOutput:
+    def test_trails_found_are_pinned(self):
+        # sha256 over every trail (or None) the edge-trail engine returns on
+        # a seeded corpus with loops and parallel edges, and on H_1: the
+        # search order decides which trail is returned, and so the
+        # certificates built from it
+        digest = hashlib.sha256()
+
+        def record(trail):
+            digest.update(repr(None if trail is None else (trail.vertices, trail.edges)).encode())
+
+        rng = random.Random(23)
+        corpus = []
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 9)
+            corpus.append(Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]))
+        corpus.append(wagner_counterexample(1)[1])
+        for h in corpus:
+            for e1, e2 in itertools.permutations(range(h.edge_count), 2):
+                witness = find_idt(h, e1, e2)
+                record(None if witness is None else witness.trail)
+            for e in range(h.edge_count):
+                required = [v for v in range(h.n) if rng.random() < 0.5]
+                record(find_closed_trail_through(h, required, e))
+            record(find_dct(h))
+            record(find_spanning_closed_trail(h))
+        assert digest.hexdigest() == (
+            "a7dd0a0ebbd492b486af5c731bd1aaaa2dbc84681dc52f17137c10abbd6f75e2"
+        )
 
 
 class TestHamiltonianPath:
