@@ -4,11 +4,7 @@ preimages, and an exhaustive verification harness."""
 
 from .constructions import petersen, wagner, wagner_counterexample
 from .core import CoreMap, core, lift_closed_trail
-from .corpus import (
-    enumerate_multigraph_corpus,
-    graph_classes,
-    read_corpus_file,
-)
+from .corpus import graph_classes, read_corpus_file
 from .encoding import (
     decode_edgelist,
     decode_graph6,

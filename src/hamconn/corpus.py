@@ -28,11 +28,6 @@ any labeling, each neighbor set that closes a claw (1,715 classes on up
 to 8 vertices, 42,179 on up to 10).  The labeled counts of
 all graphs and of connected graphs, which the exhaustive check still
 reports, have closed forms (:func:`labeled_counts`).
-
-The multigraph corpus used by the trail-equivalence checks enumerates
-connected loopless multigraphs by support (one simple graph per isomorphism
-class) times bounded parallel-edge multiplicities, so every isomorphism
-class in range appears at least once.
 """
 
 from __future__ import annotations
@@ -339,43 +334,6 @@ def _mask_images(g: SimpleGraph, automorphisms: list) -> list[list[int]]:
             table[mask] = table[mask ^ low] | 1 << aut[low.bit_length() - 1]
         tables.append(table)
     return tables
-
-
-def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:
-    """One representative per isomorphism class of connected simple graphs:
-    the connected classes of :func:`graph_classes`, with its
-    representatives."""
-    return [g for g, _ in graph_classes(max_vertices) if g.is_connected()]
-
-
-def enumerate_multigraph_corpus(
-    max_vertices: int = 6,
-    min_edges: int = 3,
-    max_edges: int = 9,
-    max_multiplicity: int = 3,
-) -> Iterator[Multigraph]:
-    """Connected loopless multigraphs, exhaustive up to isomorphism.
-
-    Supports are connected simple graphs up to isomorphism; each support
-    edge receives every multiplicity in ``1..max_multiplicity`` whose total
-    lands in ``min_edges..max_edges``.  Representatives may repeat across
-    isomorphism classes only through distinct multiplicity patterns.
-    """
-    supports = [
-        g
-        for g in connected_graphs_up_to_isomorphism(max_vertices)
-        if g.edge_count and g.edge_count <= max_edges
-    ]
-    for support in supports:
-        base = support.endpoints
-        for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(base)):
-            total = sum(mults)
-            if not (min_edges <= total <= max_edges):
-                continue
-            edges = []
-            for pair, mult in zip(base, mults):
-                edges.extend([pair] * mult)
-            yield Multigraph(support.n, edges)
 
 
 # -- random generators -----------------------------------------------------------------

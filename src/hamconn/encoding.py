@@ -176,9 +176,6 @@ def decode_sparse6(line: str) -> Multigraph:
             v = x
         else:
             edges.append((x, v))
-    for u, w in edges:
-        if u >= n or w >= n:
-            raise EncodingError("vertex index out of range in sparse6 data")
     return Multigraph(n, edges)
 
 

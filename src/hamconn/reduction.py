@@ -20,8 +20,10 @@ for 3-connected claw-free line graphs with small domination number:
    core's expansions and join each terminal edge to an end of it by a
    piece, the sub-trail that runs from the edge along the expansion of its
    projected core edge; then turn the result into a hamiltonian path of
-   g.  ``preimage`` numbers the edges of H as the vertices of g, so g
-   itself is L(H) and the path is built on it.
+   g along ``_idt_order``, which puts each edge off the trail just before
+   the trail edge leaving the first interior vertex it touches.
+   ``preimage`` numbers the edges of H as the vertices of g, so g itself
+   is L(H) and the path is built on it.
 
 Every construction step is revalidated; a failed validation raises
 ``LiftFailedError`` and is treated as a bug, never silently accepted.
@@ -30,17 +32,17 @@ Whether a line graph g = L(H) is hamiltonian-connected is decided on the
 preimage side by ``missing_idt_pair(g, h)``: L(H) has a hamiltonian path
 between the vertices of edges e1 and e2 exactly when H has an internally
 dominating trail with terminal edges e1 and e2 (Harary & Nash-Williams,
-1965).  The caller's g is first checked to be exactly L(H).  Each trail
-found is turned into a hamiltonian path of g by ``idt_to_ham_path`` and
-checked there, so every positive answer carries a certificate in the line
-graph itself.
+1965).  The caller's g is first checked to be exactly L(H), one adjacency
+mask per edge of H.  Each trail found is turned into a vertex order of g by
+``_idt_order`` and checked on g's adjacency masks, so every positive answer
+carries a certificate in the line graph itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import CoreMap, core, lift_walk
 from .errors import (
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .invariants import DominatingSet, edge_connectivity, edges_dominate, find_essential_cut
 from .linegraph import preimage
-from .multigraph import Multigraph, SimpleGraph
+from .multigraph import Multigraph, SimpleGraph, _mask_vertices
 from .trails import IdtWitness, Trail, _check_order, _order_trail, find_closed_trail_through, find_idt
 
 
@@ -245,38 +247,40 @@ def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
 # -- IDT to hamiltonian path -----------------------------------------------------------
 
 
-def idt_to_ham_path(
-    g: SimpleGraph, witness: IdtWitness, *, ids: Optional[dict[tuple[int, int], int]] = None
-) -> Trail:
-    """Order the trail's edges and insert each dominated non-trail edge next
-    to an interior vertex it touches; the result is a hamiltonian path of
-    the line graph ``g`` of the trail's host H between the terminal edges'
-    vertices (vertex i of ``g`` is edge i of H).  ``ids`` maps each edge
-    pair of ``g`` to its id, as in ``_order_trail``."""
+def _idt_order(witness: IdtWitness) -> list[int]:
+    """The vertex order of L(H), H the trail's host, that the internally
+    dominating trail stands for: the trail's edges in order, and before
+    each trail edge that leaves an interior vertex, in ascending id, the
+    edges off the trail that touch that vertex and no earlier interior
+    one.  Vertex i of L(H) is edge i of H."""
     trail = witness.trail
-    h = trail.host
+    masks = trail.host.edge_masks()
+    left = (1 << trail.host.edge_count) - 1
+    for e in trail.edges:
+        left &= ~(1 << e)
+    seq = [trail.edges[0]]
+    for v, e in zip(trail.vertices[1:-1], trail.edges[1:]):
+        here = left & masks[v]
+        left &= ~here
+        seq += _mask_vertices(here)
+        seq.append(e)
+    if left:
+        raise LiftFailedError(
+            f"edge {(left & -left).bit_length() - 1} is not dominated by an interior vertex"
+        )
+    return seq
+
+
+def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
+    """The hamiltonian path along ``_idt_order(witness)`` in the line graph
+    ``g`` of the trail's host H, between the terminal edges' vertices."""
+    h = witness.trail.host
     if h.edge_count < 3:
         raise GraphError("the edge-ordering construction needs at least 3 edges")
     witness.validate()
     if g.n != h.edge_count:
         raise LiftFailedError("witness does not live in the line graph's source")
-    on_trail = set(trail.edges)
-    inserts: dict[int, list[int]] = {}
-    interior = range(1, len(trail.vertices) - 1)
-    for f in range(h.edge_count):
-        if f in on_trail:
-            continue
-        for j in interior:
-            if trail.vertices[j] in h.endpoints[f]:
-                break
-        else:
-            raise LiftFailedError(f"edge {f} is not dominated by an interior vertex")
-        inserts.setdefault(j, []).append(f)
-    seq = [trail.edges[0]]
-    for j in interior:
-        seq.extend(inserts.get(j, ()))
-        seq.append(trail.edges[j])
-    return _order_trail(g, seq, ids=ids)
+    return _order_trail(g, _idt_order(witness))
 
 
 def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]:
@@ -285,25 +289,28 @@ def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]
 
     The edge pairs ``e1 < e2`` of H are walked in lexicographic order; the
     first pair without an internally dominating trail is the answer.  Every
-    trail found becomes a hamiltonian path of ``g``, validated there.
-    Vertex i of ``g`` is edge i of H, so the pair is the one
-    ``missing_hamiltonian_pair(g)`` returns.  Like ``idt_to_ham_path``, it
-    needs at least 3 edges.
+    trail found becomes a vertex order of ``g``, checked there as a
+    hamiltonian e1-e2 path.  Vertex i of ``g`` is edge i of H, so the pair
+    is the one ``missing_hamiltonian_pair(g)`` returns.  Like
+    ``idt_to_ham_path``, it needs at least 3 edges.
     """
     if h.edge_count < 3:
         raise GraphError("the IDT census needs at least 3 edges")
-    # A negative answer rests on the equivalence, so g must be exactly L(H).
+    # A negative answer rests on the equivalence, so g must be exactly L(H):
+    # vertex e is adjacent to every other edge at either end of edge e.
     if g.n != h.edge_count:
         raise LiftFailedError("line graph must have one vertex per source edge")
-    for e1, e2 in itertools.combinations(range(h.edge_count), 2):
-        if g.has_edge(e1, e2) != bool(set(h.endpoints[e1]) & set(h.endpoints[e2])):
-            raise LiftFailedError(f"adjacency of {e1}, {e2} disagrees with shared endpoints")
-    ids = {pair: e for e, pair in enumerate(g.endpoints)}
+    adj, inc = g.adjacency_masks(), h.edge_masks()
+    for e, (u, v) in enumerate(h.endpoints):
+        diff = adj[e] ^ ((inc[u] | inc[v]) & ~(1 << e))
+        if diff:
+            f = (diff & -diff).bit_length() - 1
+            raise LiftFailedError(f"adjacency of {e}, {f} disagrees with shared endpoints")
     for e1, e2 in itertools.combinations(range(h.edge_count), 2):
         witness = find_idt(h, e1, e2)
         if witness is None:
             return (e1, e2)
-        _check_ham_path(g, idt_to_ham_path(g, witness, ids=ids), e1, e2)
+        _check_ham_path(g, _idt_order(witness), e1, e2)
     return None
 
 
@@ -362,7 +369,7 @@ def run_pipeline(
         if witness is None:
             raise
         path = idt_to_ham_path(g, witness)
-        _check_ham_path(g, path, u, v)
+        _check_ham_path(g, path.vertices, u, v)
         return PipelineRun(witness, path, None)
     cut = find_essential_cut(h, 3)
     if cut is not None:
@@ -385,12 +392,13 @@ def run_pipeline(
     ctx = PipelineContext(cm, e1, e2, e0_1, e0_2, h_n, e_n, z)
     witness = idt_from_trail(ctx, trail)
     path = idt_to_ham_path(g, witness)
-    _check_ham_path(g, path, u, v)
+    _check_ham_path(g, path.vertices, u, v)
     return PipelineRun(witness, path, ctx)
 
 
-def _check_ham_path(g: SimpleGraph, path: Trail, u: int, v: int) -> None:
-    """Revalidate a hamiltonian u-v path independently of how it was built."""
-    if path.vertices[0] != u or path.vertices[-1] != v:
+def _check_ham_path(g: SimpleGraph, order: Sequence[int], u: int, v: int) -> None:
+    """Check, independently of how it was built, that ``order`` is a
+    hamiltonian u-v path of ``g``."""
+    if order[0] != u or order[-1] != v:
         raise LiftFailedError("path endpoints are wrong")
-    _check_order(g.adjacency_masks(), path.vertices)
+    _check_order(g.adjacency_masks(), order)

@@ -404,22 +404,15 @@ def _hamiltonian_order(
     return order if found else None
 
 
-def _order_trail(
-    g: SimpleGraph,
-    order: Sequence[int],
-    *,
-    closed: bool = False,
-    ids: Optional[dict[tuple[int, int], int]] = None,
-) -> Trail:
+def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) -> Trail:
     """The hamiltonian path along ``order``, checked; with ``closed``, the
-    cycle that steps back to ``order[0]`` at the end.  ``ids`` maps each
-    edge pair of ``g`` to its id; callers that order many trails on one
-    graph build it once."""
+    cycle that steps back to ``order[0]`` at the end.  The edge ids come
+    from a map of all of ``g``'s edges built on each call, so a caller that
+    only needs the order checked uses ``_check_order``."""
     _check_order(g.adjacency_masks(), order)
     if closed:
         order = [*order, order[0]]
-    if ids is None:
-        ids = {pair: e for e, pair in enumerate(g.endpoints)}
+    ids = {pair: e for e, pair in enumerate(g.endpoints)}
     edges = tuple(ids[(u, v) if u < v else (v, u)] for u, v in zip(order, order[1:]))
     trail = Trail(g, tuple(order), edges)
     trail.validate()
@@ -455,10 +448,6 @@ def is_hamiltonian_connected(g: SimpleGraph) -> bool:
     Graphs on at most 2 vertices are hamiltonian-connected exactly when
     complete.
     """
-    if g.n < 2:
-        raise GraphError("hamiltonian connectivity needs at least 2 vertices")
-    if g.n == 2:
-        return g.edge_count == 1
     return missing_hamiltonian_pair(g) is None
 
 

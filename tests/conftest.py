@@ -5,11 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hamconn.corpus import (
-    connected_graphs_up_to_isomorphism,
-    enumerate_multigraph_corpus,
-    graph_classes,
-)
+from hamconn.corpus import graph_classes
 from hamconn.multigraph import (
     Multigraph,
     complete_graph,
@@ -17,6 +13,8 @@ from hamconn.multigraph import (
     path_graph,
     star_graph,
 )
+
+from oracles import connected_graphs_up_to_isomorphism, enumerate_multigraph_corpus
 
 
 @pytest.fixture

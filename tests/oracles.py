@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  Everything here avoids the library's search machinery on purpose:
-plain subset/permutation enumeration, or networkx."""
+plain subset/permutation enumeration, or networkx.  The two test corpora at
+the end are the exception: they take their simple graphs up to isomorphism
+from ``graph_classes``, which ``test_corpus.py`` checks on its own."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import networkx as nx
 
-from hamconn.corpus import MAX_ENUMERATION_VERTICES, graph_from_edge_mask
+from hamconn.corpus import MAX_ENUMERATION_VERTICES, graph_classes, graph_from_edge_mask
 from hamconn.errors import GraphError
 from hamconn.multigraph import Multigraph, SimpleGraph
 
@@ -327,3 +330,40 @@ def full_class_tally(classes, hypothesis: str) -> dict:
         running = [a + b for a, b in zip(running, per_n[n])]
         out[n] = tuple(running)
     return out
+
+
+def connected_graphs_up_to_isomorphism(max_vertices: int) -> list[SimpleGraph]:
+    """One representative per isomorphism class of connected simple graphs:
+    the connected classes of ``graph_classes``, with its representatives."""
+    return [g for g, _ in graph_classes(max_vertices) if g.is_connected()]
+
+
+def enumerate_multigraph_corpus(
+    max_vertices: int = 6,
+    min_edges: int = 3,
+    max_edges: int = 9,
+    max_multiplicity: int = 3,
+) -> Iterator[Multigraph]:
+    """Connected loopless multigraphs, exhaustive up to isomorphism, for the
+    trail-equivalence checks.
+
+    Supports are connected simple graphs up to isomorphism; each support
+    edge receives every multiplicity in ``1..max_multiplicity`` whose total
+    lands in ``min_edges..max_edges``.  Representatives may repeat across
+    isomorphism classes only through distinct multiplicity patterns.
+    """
+    supports = [
+        g
+        for g in connected_graphs_up_to_isomorphism(max_vertices)
+        if g.edge_count and g.edge_count <= max_edges
+    ]
+    for support in supports:
+        base = support.endpoints
+        for mults in itertools.product(range(1, max_multiplicity + 1), repeat=len(base)):
+            total = sum(mults)
+            if not (min_edges <= total <= max_edges):
+                continue
+            edges = []
+            for pair, mult in zip(base, mults):
+                edges.extend([pair] * mult)
+            yield Multigraph(support.n, edges)

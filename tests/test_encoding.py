@@ -120,6 +120,13 @@ class TestSparse6:
         with pytest.raises(EncodingError):
             decode_sparse6("A_")  # missing colon
 
+    def test_group_past_n_ends_decoding(self):
+        # n = 3, k = 2: the group (1, 00) reads edge (0, 1), then (0, 11)
+        # names vertex 3, so decoding stops with the edges read so far
+        assert decode_sparse6(":Bb") == Multigraph(3, [(0, 1)])
+        # n = 2, k = 1: (1, 0) reads edge (0, 1), then (1, 0) moves v to 2
+        assert decode_sparse6(":Ag") == Multigraph(2, [(0, 1)])
+
 
 class TestEdgeList:
     def test_k4_file(self, k4):

@@ -1,5 +1,10 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from hamconn.invariants import DominatingSet, dominating_set, edge_connectivity
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph
 from hamconn.reduction import (
+    _idt_order,
     build_hn,
     idt_to_ham_path,
     missing_idt_pair,
@@ -36,6 +42,15 @@ from hamconn.trails import (
 @pytest.fixture
 def k4p_core(k4_with_pendants):
     return core(k4_with_pendants)
+
+
+def _swapped_idt_order(witness):
+    """``_idt_order`` with two middle entries swapped: still a permutation
+    with the right ends, but it steps along a non-edge of L(H)."""
+    order = _idt_order(witness)
+    mid = len(order) // 2
+    order[1], order[mid] = order[mid], order[1]
+    return order
 
 
 class TestProjectEdge:
@@ -170,6 +185,41 @@ class TestIdtToHamPath:
         with pytest.raises(GraphError):
             idt_to_ham_path(line_graph(h), IdtWitness(t, 0, 1))
 
+    def test_undominated_edge_is_named(self):
+        # 0 -e0- 1 -e1- 2 -e2- 3 with e3 = (3, 4) and e4 = (4, 5) off the
+        # trail: no interior vertex touches e4
+        h = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        witness = IdtWitness(Trail(h, (0, 1, 2, 3), (0, 1, 2)), 0, 2)
+        with pytest.raises(LiftFailedError, match="edge 3 is not dominated"):
+            _idt_order(witness)
+
+    def test_orders_are_pinned(self):
+        # sha256 over the order of every ordered pair with an IDT, on the
+        # seeded corpus of the trail-engine pin (loops and parallel edges
+        # included) and on H_1..H_3; the digest is that of the per-edge
+        # insertion scan the bitmask pass replaced
+        digest = hashlib.sha256()
+        rng = random.Random(23)
+        corpus = []
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 9)
+            corpus.append(Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]))
+        corpus += [wagner_counterexample(p)[1] for p in (1, 2, 3)]
+        count = 0
+        for h in corpus:
+            if h.edge_count < 3:
+                continue
+            for e1, e2 in itertools.permutations(range(h.edge_count), 2):
+                witness = find_idt(h, e1, e2)
+                if witness is not None:
+                    digest.update(repr(tuple(_idt_order(witness))).encode())
+                    count += 1
+        assert count == 9510
+        assert digest.hexdigest() == (
+            "9b6c15c2afd350c2d289ab394870ccda54d28cc5823474cf429f9be9d9ddad8b"
+        )
+
 
 class TestMissingIdtPair:
     def test_agrees_with_the_line_graph_search(self, equivalence_corpus):
@@ -179,22 +229,46 @@ class TestMissingIdtPair:
 
     def test_every_pair_before_the_answer_is_certified(self, monkeypatch):
         g, h = wagner_counterexample(1)
-        paths = []
+        orders = []
+        check = reduction._check_ham_path
 
-        def recording(g_, witness, **options):
-            path = idt_to_ham_path(g_, witness, **options)
-            paths.append(path)
-            return path
+        def recording(g_, order, u, v):
+            assert g_ is g
+            orders.append(list(order))
+            check(g_, order, u, v)
 
-        monkeypatch.setattr(reduction, "idt_to_ham_path", recording)
+        monkeypatch.setattr(reduction, "_check_ham_path", recording)
         pair = missing_idt_pair(g, h)
         assert pair == (8, 10)
         before = [p for p in itertools.combinations(range(h.edge_count), 2) if p < pair]
-        assert [(p.vertices[0], p.vertices[-1]) for p in paths] == before
-        for path in paths:
-            assert path.host == g
-            assert sorted(path.vertices) == list(range(g.n))
-            path.validate()
+        assert [(order[0], order[-1]) for order in orders] == before
+        for order in orders:
+            assert sorted(order) == list(range(g.n))
+            assert all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+
+    def test_a_broken_order_is_refused(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_idt_order", _swapped_idt_order)
+        with pytest.raises(LiftFailedError, match="non-edge"):
+            missing_idt_pair(*wagner_counterexample(1))
+
+    def test_a_broken_order_is_refused_under_dash_o(self):
+        # python -O strips assert statements; the order check raises instead
+        src = str(Path(reduction.__file__).resolve().parents[1])
+        code = (
+            "import sys, test_reduction\n"
+            "from hamconn import reduction\n"
+            "from hamconn.constructions import wagner_counterexample\n"
+            "reduction._idt_order = test_reduction._swapped_idt_order\n"
+            "print(sys.flags.optimize)\n"
+            "reduction.missing_idt_pair(*wagner_counterexample(1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "1\n"
+        assert "LiftFailedError: hamiltonian order steps along a non-edge" in done.stderr
 
     def test_witness_from_another_host_is_refused(self, monkeypatch):
         g, h = wagner_counterexample(1)
@@ -223,13 +297,14 @@ class TestMissingIdtPair:
 
 class TestCheckHamPath:
     def test_only_a_hamiltonian_u_v_path_passes(self, k4):
-        path = hamiltonian_path(k4, 0, 3)
-        reduction._check_ham_path(k4, path, 0, 3)
-        with pytest.raises(LiftFailedError):
-            reversed_path = Trail(k4, path.vertices[::-1], path.edges[::-1])
-            reduction._check_ham_path(k4, reversed_path, 0, 3)
-        with pytest.raises(LiftFailedError):
-            reduction._check_ham_path(k4, Trail(k4, (0, 3), (k4.endpoints.index((0, 3)),)), 0, 3)
+        order = hamiltonian_path(k4, 0, 3).vertices
+        reduction._check_ham_path(k4, order, 0, 3)
+        with pytest.raises(LiftFailedError, match="endpoints"):
+            reduction._check_ham_path(k4, order[::-1], 0, 3)
+        with pytest.raises(LiftFailedError, match="permutation"):
+            reduction._check_ham_path(k4, (0, 3), 0, 3)
+        with pytest.raises(LiftFailedError, match="non-edge"):
+            reduction._check_ham_path(SimpleGraph(4, [(0, 1), (1, 2), (2, 3)]), (0, 2, 1, 3), 0, 3)
 
 
 class TestPipeline:

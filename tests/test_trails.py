@@ -6,11 +6,7 @@ import pytest
 
 from hamconn import trails
 from hamconn.constructions import wagner_counterexample
-from hamconn.corpus import (
-    enumerate_multigraph_corpus,
-    random_3_edge_connected_multigraph,
-    random_multigraph,
-)
+from hamconn.corpus import random_3_edge_connected_multigraph, random_multigraph
 from hamconn.errors import GraphError, LiftFailedError
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph, cycle_graph
@@ -34,6 +30,7 @@ from oracles import (
     brute_hamiltonian_path,
     brute_idt,
     enumerate_labeled,
+    enumerate_multigraph_corpus,
     spanning_connected_even_subgraph_exists,
 )
 
