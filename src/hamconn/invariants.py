@@ -6,7 +6,11 @@ inputs (a few dozen vertices); they use bitmask adjacency throughout.
 ``is_k_connected`` decides ``k <= 3`` without max-flow: after the degree
 check it removes every vertex set of size ``k - 1`` and tests what is left
 for connectivity with one bitmask search.  Larger ``k`` and the exact value
-go through ``vertex_connectivity``, the one max-flow path.
+go through ``vertex_connectivity``, which runs max-flow on the quotient by
+true twins (vertices with equal closed neighborhoods, grouped by
+``true_twin_leads``), each class a node whose capacity is its size; the
+IDT census in ``reduction`` walks the same classes.  ``_max_flow`` is the
+one max-flow routine, shared with ``edge_connectivity``.
 
 On multigraphs, ``find_essential_cut`` removes each small edge set as a
 bitmask and walks the components with ``_edge_component``; a component
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DisconnectedGraphError, GraphError, LiftFailedError
 from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component
@@ -119,32 +123,58 @@ def _max_flow(capacity: list[dict[int, int]], source: int, sink: int, cap: int) 
     return flow
 
 
-def _split_network(g: SimpleGraph) -> list[dict[int, int]]:
-    """The vertex-split digraph of ``g`` as residual capacities.
+def _twin_leads(masks: Sequence[int]) -> list[int]:
+    """Each vertex's least true twin: the least vertex with the same closed
+    neighborhood ``masks[v] | 1 << v``."""
+    first: dict[int, int] = {}
+    return [first.setdefault(mask | 1 << v, v) for v, mask in enumerate(masks)]
 
-    Node 2v = v_in, 2v+1 = v_out.  Arcs: v_in->v_out (capacity 1) and
-    u_out->w_in for each edge uw (capacity 1 each way).
+
+def true_twin_leads(g: SimpleGraph) -> list[int]:
+    """``lead[v]``: the vertex standing for v's class of true twins, checked.
+
+    Swapping two true twins is an automorphism of ``g``, so a question that
+    is invariant under automorphisms needs one member of each class.  The
+    check raises ``LiftFailedError`` unless every lead has the vertex's
+    closed neighborhood, is at most the vertex and leads itself."""
+    masks = g.adjacency_masks()
+    lead = _twin_leads(masks)
+    for v, a in enumerate(lead):
+        if masks[v] | 1 << v != masks[a] | 1 << a:
+            raise LiftFailedError(f"vertices {a} and {v} are not true twins")
+        if a > v or lead[a] != a:
+            raise LiftFailedError(f"lead {a} of vertex {v} is not a lead at or below it")
+    return lead
+
+
+def _split_network(masks: Sequence[int], size: Sequence[int]) -> list[dict[int, int]]:
+    """The vertex-split digraph of the twin quotient as residual capacities.
+
+    Node 2a = a_in, 2a+1 = a_out for each lead a (``size[a] > 0``).  Arcs:
+    a_in->a_out with the class size as capacity, and a_out->b_in for each
+    pair of adjacent leads, uncapped (capacity ``len(masks)`` each way).
     """
-    capacity: list[dict[int, int]] = [dict() for _ in range(2 * g.n)]
-
-    def add(u: int, v: int) -> None:
-        capacity[u][v] = capacity[u].get(v, 0) + 1
-        capacity[v].setdefault(u, 0)
-
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1)
-    for u, w in g.endpoints:
-        add(2 * u + 1, 2 * w)
-        add(2 * w + 1, 2 * u)
+    n = len(masks)
+    capacity: list[dict[int, int]] = [dict() for _ in range(2 * n)]
+    leads = sum(1 << a for a in range(n) if size[a])
+    for a in range(n):
+        if not size[a]:
+            continue
+        capacity[2 * a][2 * a + 1] = size[a]
+        capacity[2 * a + 1].setdefault(2 * a, 0)
+        rest = masks[a] & leads
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            capacity[2 * a + 1][2 * b] = n
+            capacity[2 * b].setdefault(2 * a + 1, 0)
     return capacity
 
 
-def _max_vertex_disjoint_paths(
-    network: list[dict[int, int]], s: int, t: int, cap: int
-) -> int:
-    """Internally vertex-disjoint s-t paths via unit-capacity flow on a copy
-    of the vertex-split ``network``, stopping early once ``cap`` paths are
-    found.  The split arcs of s and t are uncapped in the copy."""
+def _min_separator(network: list[dict[int, int]], s: int, t: int, cap: int) -> int:
+    """The least total class size separating leads s and t, via flow on a
+    copy of the split ``network``, or ``cap`` if that is smaller.  The
+    split arcs of s and t are uncapped in the copy."""
     capacity = [row.copy() for row in network]
     n = len(network) // 2
     capacity[2 * s][2 * s + 1] = n
@@ -154,7 +184,14 @@ def _max_vertex_disjoint_paths(
 
 def vertex_connectivity(g: SimpleGraph) -> int:
     """Minimum number of vertex deletions disconnecting ``g`` (or reducing it
-    to a single vertex); ``n - 1`` for complete graphs."""
+    to a single vertex); ``n - 1`` for complete graphs.
+
+    Decided on the quotient by true twins (``true_twin_leads``), with each
+    class's size as its capacity.  This is exact: a minimum separator
+    holds every true twin of each vertex it holds, or that vertex could
+    leave it and the rest would still separate, and true twins are
+    adjacent, so no separator splits a class.
+    """
     n = g.n
     if n <= 1:
         return 0
@@ -164,19 +201,24 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         return 0
     masks = g.adjacency_masks()
     degs = g.degrees()
+    lead = true_twin_leads(g)
+    size = [0] * n
+    for a in lead:
+        size[a] += 1
     best = min(degs)
-    network = _split_network(g)
+    network = _split_network(masks, size)
     # A minimum separator either separates a fixed minimum-degree vertex v
     # from some non-neighbor, or contains v, in which case it separates two
-    # non-adjacent neighbors of v.
-    v = min(range(n), key=lambda x: degs[x])
-    for t in range(n):
+    # non-adjacent neighbors of v; twins of one vertex answer alike.
+    v = lead[min(range(n), key=lambda x: degs[x])]
+    leads = [a for a in range(n) if size[a]]
+    for t in leads:
         if t != v and not (masks[v] >> t & 1):
-            best = min(best, _max_vertex_disjoint_paths(network, v, t, best))
-    nbrs = g.neighbors(v)
+            best = min(best, _min_separator(network, v, t, best))
+    nbrs = [a for a in leads if masks[v] >> a & 1]
     for a, b in itertools.combinations(nbrs, 2):
         if not (masks[a] >> b & 1):
-            best = min(best, _max_vertex_disjoint_paths(network, a, b, best))
+            best = min(best, _min_separator(network, a, b, best))
     return best
 
 

@@ -16,7 +16,10 @@ an allowed vertex set.  :func:`_edge_component` is edge-restricted: it walks
 ``incidence()`` while avoiding a blocked edge mask; its one caller is the
 component count behind the essential edge cuts in ``invariants``.
 ``edge_masks()`` holds each vertex's incident edges as a bitmask, for the
-edge-set questions asked next to the walk.
+edge-set questions asked next to the walk; ``parallel_masks()`` and
+``loop_mask()`` hold each edge's parallel copies and the loops, so every
+trail search on one host starts from these tables instead of rebuilding
+them.  Each table is filled on first use and kept in one slot.
 
 Isomorphism has one engine, :func:`canonical_labeling`: individualization
 and refinement on vertex bitmasks with automorphism pruning, which shortcuts
@@ -77,7 +80,10 @@ class Multigraph:
     normalized with the smaller vertex first.
     """
 
-    __slots__ = ("n", "endpoints", "_incidence", "_degrees", "_adjacency", "_edge_masks")
+    __slots__ = (
+        "n", "endpoints", "_incidence", "_degrees", "_adjacency", "_edge_masks",
+        "_parallel", "_loops",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -94,6 +100,8 @@ class Multigraph:
         self._degrees: Optional[tuple[int, ...]] = None
         self._adjacency: Optional[tuple[int, ...]] = None
         self._edge_masks: Optional[tuple[int, ...]] = None
+        self._parallel: Optional[tuple[int, ...]] = None
+        self._loops: Optional[int] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -168,6 +176,23 @@ class Multigraph:
                 masks[v] |= 1 << e
             self._edge_masks = tuple(masks)
         return self._edge_masks
+
+    def parallel_masks(self) -> tuple[int, ...]:
+        """Per-edge bitmasks of the non-loop edges with the same endpoints,
+        the edge itself included; 0 for a loop."""
+        if self._parallel is None:
+            by_pair: dict[tuple[int, int], int] = {}
+            for e, (u, v) in enumerate(self.endpoints):
+                if u != v:
+                    by_pair[u, v] = by_pair.get((u, v), 0) | 1 << e
+            self._parallel = tuple(by_pair.get(pair, 0) for pair in self.endpoints)
+        return self._parallel
+
+    def loop_mask(self) -> int:
+        """The bitmask of loop edge ids."""
+        if self._loops is None:
+            self._loops = sum(1 << e for e, (u, v) in enumerate(self.endpoints) if u == v)
+        return self._loops
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of ``v`` through non-loop edges, ascending."""

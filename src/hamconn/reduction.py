@@ -33,14 +33,19 @@ preimage side by ``missing_idt_pair(g, h)``: L(H) has a hamiltonian path
 between the vertices of edges e1 and e2 exactly when H has an internally
 dominating trail with terminal edges e1 and e2 (Harary & Nash-Williams,
 1965).  The caller's g is first checked to be exactly L(H), one adjacency
-mask per edge of H.  Each trail found is turned into a vertex order of g by
-``_idt_order`` and checked on g's adjacency masks, so every positive answer
-carries a certificate in the line graph itself.
+mask per edge of H.  The census runs up to true twins of g: parallel edges
+of H, and pendant edges at one support vertex, have equal closed
+neighborhoods in L(H), swapping two of them is an automorphism of g, so
+one pair is searched per unordered pair of twin classes (126 searches on
+every member of the Wagner sharpness family, whatever its pendant count).
+Each trail found is turned into a vertex order of g by ``_idt_order`` and
+checked on g's adjacency masks, so every searched positive pair carries a
+certificate in the line graph itself, and every skipped pair rests on the
+checked twin classes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,7 +58,13 @@ from .errors import (
     NotEssentially3EdgeConnectedError,
     TrailNotFoundError,
 )
-from .invariants import DominatingSet, edge_connectivity, edges_dominate, find_essential_cut
+from .invariants import (
+    DominatingSet,
+    edge_connectivity,
+    edges_dominate,
+    find_essential_cut,
+    true_twin_leads,
+)
 from .linegraph import preimage
 from .multigraph import Multigraph, SimpleGraph, _mask_vertices
 from .trails import IdtWitness, Trail, _check_order, _order_trail, find_closed_trail_through, find_idt
@@ -285,14 +296,20 @@ def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
 
 def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]:
     """The first vertex pair of the line graph ``g`` = L(H) of ``h`` without
-    a hamiltonian path, or ``None``, decided by searching H.
+    a hamiltonian path, or ``None``, decided by searching H up to true twins.
 
     The edge pairs ``e1 < e2`` of H are walked in lexicographic order; the
-    first pair without an internally dominating trail is the answer.  Every
-    trail found becomes a vertex order of ``g``, checked there as a
-    hamiltonian e1-e2 path.  Vertex i of ``g`` is edge i of H, so the pair
-    is the one ``missing_hamiltonian_pair(g)`` returns.  Like
-    ``idt_to_ham_path``, it needs at least 3 edges.
+    first pair without an internally dominating trail is the answer.  A
+    pair's answer depends only on its unordered pair of true-twin classes
+    of ``g`` (``true_twin_leads``; parallel edges, and pendant edges at one
+    support vertex, are twins in L(H)), since swapping two twins is an
+    automorphism of ``g``.  So the walk searches only the first pair of each
+    class pair it meets, its least member, and skips the others; the first
+    failing pair is the one the plain walk returns.  Every trail found
+    becomes a vertex order of ``g``, checked there as a hamiltonian e1-e2
+    path.  Vertex i of ``g`` is edge i of H, so the pair is the one
+    ``missing_hamiltonian_pair(g)`` returns.  Like ``idt_to_ham_path``, it
+    needs at least 3 edges.
     """
     if h.edge_count < 3:
         raise GraphError("the IDT census needs at least 3 edges")
@@ -306,11 +323,22 @@ def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]
         if diff:
             f = (diff & -diff).bit_length() - 1
             raise LiftFailedError(f"adjacency of {e}, {f} disagrees with shared endpoints")
-    for e1, e2 in itertools.combinations(range(h.edge_count), 2):
-        witness = find_idt(h, e1, e2)
-        if witness is None:
-            return (e1, e2)
-        _check_ham_path(g, _idt_order(witness), e1, e2)
+    lead = true_twin_leads(g)
+    certified: set[tuple[int, int]] = set()
+    for e1 in range(h.edge_count):
+        if lead[e1] != e1:
+            # Every pair (e1, e2) has the class pair of (lead[e1], e2), met earlier.
+            continue
+        for e2 in range(e1 + 1, h.edge_count):
+            b = lead[e2]
+            key = (e1, b) if e1 <= b else (b, e1)
+            if key in certified:
+                continue
+            witness = find_idt(h, e1, e2)
+            if witness is None:
+                return (e1, e2)
+            _check_ham_path(g, _idt_order(witness), e1, e2)
+            certified.add(key)
     return None
 
 

@@ -9,8 +9,10 @@ bitmask)``; dead states are memoized under one int key,
 ``used << n.bit_length() | cur``, and a state is pruned when the goal, a
 required vertex or (when asked) some edge's domination is out of reach
 along unused edges.  The search keeps each vertex's neighbors along unused
-edges as a bitmask, updated as edges are used and restored on backtrack,
-and one frontier walk over these masks per state yields both the vertices
+edges as a bitmask, updated as edges are used and restored on backtrack;
+it starts from the host's cached ``adjacency_masks()``, ``parallel_masks()``
+and ``loop_mask()``, so many searches on one host share that set-up, and
+one frontier walk over these masks per state yields both the vertices
 still reachable and the edges they dominate (each vertex's mask in the
 host's cached ``edge_masks()``).  Loops are never traversed except when a
 loop is itself the prescribed first edge; loop edges still count for
@@ -125,30 +127,33 @@ def _trail_search(
     closing edge are never extended along; they start out in the used mask.
 
     ``avail[u]`` is the bitmask of u's neighbors along unused edges, and
-    ``twins[e]`` the edges with the same endpoints as ``e``: a step clears
+    ``parallel[e]`` the edges with the same endpoints as ``e``: a step clears
     its two ends from each other's masks only when it uses the last unused
-    edge between them, and backtracking sets them again.  At each state one
-    frontier walk over ``avail`` grows the component of the current vertex
-    and ORs the edges its vertices dominate; the goal, required-vertex and
-    domination prunes all read that one walk.
+    edge between them, and backtracking sets them again.  Both start from
+    the host's cached tables: ``avail`` is a copy of ``adjacency_masks()``
+    with a pair cleared only when every parallel copy between its ends
+    starts out used.  At each state one frontier walk over ``avail`` grows
+    the component of the current vertex and ORs the edges its vertices
+    dominate; the goal, required-vertex and domination prunes all read that
+    one walk.
     """
     inc = h.incidence()
     cover = h.edge_masks()
+    parallel = h.parallel_masks()
+    loops = h.loop_mask()
     full_cover = (1 << h.edge_count) - 1
-    used = banned | 1 << first_edge
+    used = banned | 1 << first_edge | loops
     if closing_edge is not None:
         used |= 1 << closing_edge
-    avail = [0] * h.n
-    parallel: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(h.endpoints):
-        if u == v:
-            used |= 1 << e
-            continue
-        parallel[u, v] = parallel.get((u, v), 0) | 1 << e
-        if not used >> e & 1:
-            avail[u] |= 1 << v
-            avail[v] |= 1 << u
-    twins = [parallel.get(pair, 0) for pair in h.endpoints]
+    avail = list(h.adjacency_masks())
+    rest = used & ~loops
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if not parallel[e] & ~used:
+            u, v = h.endpoints[e]
+            avail[u] &= ~(1 << v)
+            avail[v] &= ~(1 << u)
     second = h.other_end(first_edge, start)
     verts = [start, second]
     edges = [first_edge]
@@ -188,7 +193,7 @@ def _trail_search(
             if used >> eid & 1:
                 continue
             step = used | 1 << eid
-            last = not twins[eid] & ~step
+            last = not parallel[eid] & ~step
             if last:
                 avail[cur] &= ~(1 << w)
                 avail[w] &= ~cur_bit

@@ -1,19 +1,23 @@
 """Independent brute-force oracles used to freeze and cross-check expected
 values.  Everything here avoids the library's search machinery on purpose:
-plain subset/permutation enumeration, or networkx.  The two test corpora at
-the end are the exception: they take their simple graphs up to isomorphism
-from ``graph_classes``, which ``test_corpus.py`` checks on its own."""
+plain subset/permutation enumeration, or networkx.  Two exceptions:
+``plain_missing_idt_pair`` runs the library's trail search on every pair,
+to check the twin-class census that skips most of them, and the two test
+corpora at the end take their simple graphs up to isomorphism from
+``graph_classes``, which ``test_corpus.py`` checks on its own."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+import random
+from typing import Iterator, Optional
 
 import networkx as nx
 
 from hamconn.corpus import MAX_ENUMERATION_VERTICES, graph_classes, graph_from_edge_mask
 from hamconn.errors import GraphError
 from hamconn.multigraph import Multigraph, SimpleGraph
+from hamconn.trails import find_idt
 
 
 def to_nx(g: Multigraph):
@@ -159,6 +163,33 @@ def brute_idt(h: Multigraph, e1: int, e2: int) -> bool:
         if walk(second, frozenset([e1]), frozenset()):
             return True
     return False
+
+
+def plain_missing_idt_pair(h: Multigraph) -> Optional[tuple[int, int]]:
+    """The first edge pair ``e1 < e2`` of ``h``, in lexicographic order,
+    without an internally dominating trail: every pair searched, no twins."""
+    for e1, e2 in itertools.combinations(range(h.edge_count), 2):
+        if find_idt(h, e1, e2) is None:
+            return (e1, e2)
+    return None
+
+
+def multigraph_with_twins(rng: random.Random) -> Multigraph:
+    """A connected loopless multigraph on a random base of 2..5 vertices
+    whose line graph has true twins: some base edges doubled or tripled,
+    and groups of one to three pendant edges at random vertices."""
+    n = rng.randint(2, 5)
+    base = [(rng.randrange(v), v) for v in range(1, n)]
+    base += [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    edges = []
+    for pair in base:
+        edges += [pair] * rng.choice((1, 1, 2, 3))
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((v, n))
+            n += 1
+    return Multigraph(n, edges)
 
 
 def girth(g: SimpleGraph) -> int:

@@ -238,6 +238,26 @@ class TestCounterexampleCommand:
         assert "graph6(g):" in out
         assert out_file.exists()
 
+    def test_large_pendant_count_finishes(self):
+        # in a child process with a timeout: the census is decided up to
+        # twin edges, so P = 96 (L(H) on 780 vertices) takes about a second
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "from hamconn.cli import main; raise SystemExit(main(['counterexample', '96']))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "no hamiltonian path:    8 .. 10\n" in done.stdout
+
 
 class TestCorpusCommand:
     def test_seeded_generation_is_reproducible(self, capsys):

@@ -1,13 +1,20 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hamconn import invariants
 from hamconn.corpus import (
     random_connected_multigraph_with_loops,
     random_multigraph,
 )
-from hamconn.errors import DisconnectedGraphError, GraphError
+from hamconn.constructions import wagner_counterexample
+from hamconn.errors import DisconnectedGraphError, GraphError, LiftFailedError
+from hamconn.harness import counterexample_report
 from hamconn.invariants import (
     dominating_set,
     domination_number,
@@ -19,6 +26,7 @@ from hamconn.invariants import (
     is_essentially_k_edge_connected,
     is_k_connected,
     simplicial_vertices,
+    true_twin_leads,
     vertex_connectivity,
 )
 from hamconn.linegraph import line_graph
@@ -30,11 +38,13 @@ from hamconn.multigraph import (
     path_graph,
     star_graph,
 )
+from hamconn.reduction import missing_idt_pair
 
 from oracles import (
     brute_dominating_sets,
     brute_domination_number,
     enumerate_labeled,
+    multigraph_with_twins,
     nx_essential_cut,
     to_nx,
 )
@@ -83,7 +93,11 @@ class TestVertexConnectivity:
     def test_disconnected_and_tiny(self):
         assert vertex_connectivity(Multigraph(0) if False else SimpleGraph(2, [])) == 0
         assert vertex_connectivity(SimpleGraph(1, [])) == 0
-        assert vertex_connectivity(complete_graph(5)) == 4
+        assert vertex_connectivity(SimpleGraph(0)) == 0
+        for n in range(2, 8):
+            assert vertex_connectivity(complete_graph(n)) == n - 1
+        two_triangles = SimpleGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert vertex_connectivity(two_triangles) == nx.node_connectivity(to_nx(two_triangles)) == 0
 
     def test_matches_networkx_on_random_graphs(self):
         rng = random.Random(9)
@@ -92,6 +106,34 @@ class TestVertexConnectivity:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
             g = SimpleGraph(n, edges)
             assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g))
+
+    def test_twin_quotient_matches_networkx_on_clique_blowups(self):
+        # each vertex of a seeded graph on <= 7 vertices becomes a clique of
+        # 1..3 true twins, joined completely along the graph's edges
+        rng = random.Random(41)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            base = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            blocks, count = [], 0
+            for _ in range(n):
+                size = rng.randint(1, 3)
+                blocks.append(range(count, count + size))
+                count += size
+            edges = [pair for block in blocks for pair in itertools.combinations(block, 2)]
+            edges += [(x, y) for i, j in base for x in blocks[i] for y in blocks[j]]
+            g = SimpleGraph(count, edges)
+            assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g.endpoints
+
+    def test_twin_quotient_matches_networkx_on_line_graphs(self):
+        # parallel edges and pendant edges at one support are twins in L(H)
+        rng = random.Random(43)
+        for _ in range(150):
+            g = line_graph(multigraph_with_twins(rng))
+            assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g.endpoints
+
+    def test_sharpness_family_is_3_connected(self):
+        for p in range(1, 7):
+            assert counterexample_report(p).connectivity == 3, p
 
     def test_is_k_connected_consistent(self):
         rng = random.Random(10)
@@ -109,6 +151,71 @@ class TestVertexConnectivity:
                 kappa = vertex_connectivity(g)
                 for k in range(1, 5):
                     assert is_k_connected(g, k) == (kappa >= k), (g.endpoints, k)
+
+
+_build_twin_leads = invariants._twin_leads
+
+
+def _merged_twin_leads(masks):
+    """``_twin_leads`` with vertex 1 merged into vertex 0's class;
+    in L(H_1) edges 0 and 1 share one end only, so they are not twins."""
+    lead = _build_twin_leads(masks)
+    lead[1] = lead[0]
+    return lead
+
+
+class TestTwinCheck:
+    def test_leads_are_least_twins(self):
+        g, _ = wagner_counterexample(3)
+        lead = true_twin_leads(g)
+        # each Wagner vertex's three pendant edges 12 + 3v .. 14 + 3v
+        assert lead == list(range(12)) + [12 + 3 * (i // 3) for i in range(24)]
+
+    def test_a_lead_above_its_vertex_is_refused(self, monkeypatch):
+        # the census skips e1 unless it leads its class, which is sound only
+        # when a lead comes before every member it stands for
+        def last_twin(masks):
+            lead = _build_twin_leads(masks)
+            last = {a: v for v, a in enumerate(lead)}
+            return [last[a] for a in lead]
+
+        monkeypatch.setattr(invariants, "_twin_leads", last_twin)
+        g, h = wagner_counterexample(2)
+        with pytest.raises(LiftFailedError, match="lead 13 of vertex 12 is not a lead at or below it"):
+            missing_idt_pair(g, h)
+
+    @pytest.mark.parametrize(
+        "check",
+        [missing_idt_pair, lambda g, h: vertex_connectivity(g)],
+        ids=["missing_idt_pair", "vertex_connectivity"],
+    )
+    def test_a_merged_class_is_refused(self, monkeypatch, check):
+        monkeypatch.setattr(invariants, "_twin_leads", _merged_twin_leads)
+        with pytest.raises(LiftFailedError, match="vertices 0 and 1 are not true twins"):
+            check(*wagner_counterexample(1))
+
+    @pytest.mark.parametrize("call", ["missing_idt_pair(g, h)", "vertex_connectivity(g)"])
+    def test_a_merged_class_is_refused_under_dash_o(self, call):
+        # python -O strips assert statements; the twin check raises instead
+        src = str(Path(invariants.__file__).resolve().parents[1])
+        code = (
+            "import sys, test_invariants\n"
+            "from hamconn import invariants\n"
+            "from hamconn.constructions import wagner_counterexample\n"
+            "from hamconn.invariants import vertex_connectivity\n"
+            "from hamconn.reduction import missing_idt_pair\n"
+            "invariants._twin_leads = test_invariants._merged_twin_leads\n"
+            "g, h = wagner_counterexample(1)\n"
+            "print(sys.flags.optimize)\n"
+            f"{call}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "1\n"
+        assert "LiftFailedError: vertices 0 and 1 are not true twins" in done.stderr
 
 
 class TestDomination:

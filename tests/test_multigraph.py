@@ -86,6 +86,13 @@ class TestBasics:
             edges = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
             assert SimpleGraph(n, edges).adjacency_masks() == Multigraph(n, edges).adjacency_masks()
 
+    def test_parallel_and_loop_tables(self):
+        g = Multigraph(3, [(0, 1), (1, 1), (1, 0), (1, 2), (0, 1), (2, 2)])
+        assert g.parallel_masks() == (0b10101, 0, 0b10101, 0b1000, 0b10101, 0)
+        assert g.loop_mask() == 0b100010
+        assert g.parallel_masks() is g.parallel_masks()
+        assert Multigraph(2).parallel_masks() == () and Multigraph(2).loop_mask() == 0
+
     def test_degree_sum_is_twice_edge_count(self):
         rng = random.Random(3)
         for _ in range(200):

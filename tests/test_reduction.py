@@ -38,6 +38,8 @@ from hamconn.trails import (
     missing_hamiltonian_pair,
 )
 
+from oracles import multigraph_with_twins, plain_missing_idt_pair
+
 
 @pytest.fixture
 def k4p_core(k4_with_pendants):
@@ -245,6 +247,56 @@ class TestMissingIdtPair:
         for order in orders:
             assert sorted(order) == list(range(g.n))
             assert all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+
+    def test_twin_census_matches_the_plain_walk(self):
+        # H_1..H_6 and seeded multigraphs with parallel edges and groups of
+        # pendant edges: the census skips pairs of twin classes it has
+        # already certified, the plain walk searches every pair
+        for p in range(1, 7):
+            g, h = wagner_counterexample(p)
+            assert missing_idt_pair(g, h) == plain_missing_idt_pair(h) == (8, 10), p
+        rng = random.Random(31)
+        checked = 0
+        while checked < 200:
+            h = multigraph_with_twins(rng)
+            if h.edge_count < 3:
+                continue
+            assert missing_idt_pair(line_graph(h), h) == plain_missing_idt_pair(h), h.endpoints
+            checked += 1
+
+    def test_twin_census_certifies_least_members_only(self, monkeypatch):
+        # On H_2 the edges at a Wagner vertex's two leaves are twins in L(H);
+        # each class pair is searched once, at its least pair
+        g, h = wagner_counterexample(2)
+        degrees = h.degrees()
+
+        def twin_class(e):
+            u, v = h.endpoints[e]
+            return ("pendant", u) if degrees[v] == 1 else ("edge", u, v)
+
+        expected, seen = [], set()
+        for e1, e2 in itertools.combinations(range(h.edge_count), 2):
+            key = frozenset((twin_class(e1), twin_class(e2)))
+            if key not in seen:
+                seen.add(key)
+                expected.append((e1, e2))
+        searched, certified = [], []
+        search, check = reduction.find_idt, reduction._check_ham_path
+
+        def recording_search(h_, e1, e2):
+            searched.append((e1, e2))
+            return search(h_, e1, e2)
+
+        def recording_check(g_, order, u, v):
+            certified.append((u, v))
+            check(g_, order, u, v)
+
+        monkeypatch.setattr(reduction, "find_idt", recording_search)
+        monkeypatch.setattr(reduction, "_check_ham_path", recording_check)
+        assert missing_idt_pair(g, h) == (8, 10)
+        assert certified == [pair for pair in expected if pair < (8, 10)]
+        assert len(certified) == 125
+        assert searched == certified + [(8, 10)]
 
     def test_a_broken_order_is_refused(self, monkeypatch):
         monkeypatch.setattr(reduction, "_idt_order", _swapped_idt_order)
