@@ -4,7 +4,9 @@
 vertex along a prescribed first edge and stops at a goal vertex, optionally
 taking a prescribed closing edge last.  Closed trails through an edge,
 spanning closed trails, dominating closed trails and internally dominating
-trails are all calls into it.  States are ``(current vertex, used-edge
+trails are all calls into it.  It runs as one loop over an explicit
+stack of frames, one per trail step, so the interpreter's recursion limit
+does not bound the trail length.  States are ``(current vertex, used-edge
 bitmask)``; dead states are memoized under one int key,
 ``used << n.bit_length() | cur``, and a state is pruned when the goal, a
 required vertex or (when asked) some edge's domination is out of reach
@@ -14,9 +16,9 @@ it starts from the host's cached ``adjacency_masks()``, ``parallel_masks()``
 and ``loop_mask()``, so many searches on one host share that set-up, and
 one frontier walk over these masks per state yields both the vertices
 still reachable and the edges they dominate (each vertex's mask in the
-host's cached ``edge_masks()``).  Loops are never traversed except when a
-loop is itself the prescribed first edge; loop edges still count for
-domination checks.
+host's cached ``edge_masks()``).  The walk stops as soon as no prune can
+fire.  Loops are never traversed except when a loop is itself the
+prescribed first edge; loop edges still count for domination checks.
 
 ``_hamiltonian_order`` orders the vertices of a simple graph from a start
 vertex to one of a set of end vertices; hamiltonian paths (one end) and
@@ -133,9 +135,18 @@ def _trail_search(
     the host's cached tables: ``avail`` is a copy of ``adjacency_masks()``
     with a pair cleared only when every parallel copy between its ends
     starts out used.  At each state one frontier walk over ``avail`` grows
-    the component of the current vertex and ORs the edges its vertices
-    dominate; the goal, required-vertex and domination prunes all read that
-    one walk.
+    the component of the current vertex a layer at a time and ORs the edges
+    its vertices dominate; the goal, required-vertex and domination prunes
+    all read that one walk.  Each prune only gets easier to pass as the
+    component grows, so the walk stops once all three pass, and a state is
+    dead exactly when the whole component fails one of them.
+
+    The search is one loop over an explicit stack.  A frame holds the
+    current vertex, the used, seen and covered masks, the dead-state key,
+    an iterator over the current vertex's incidences (the next edge to
+    try, in incidence order) and whether the step into the frame cleared
+    an ``avail`` pair; backtracking out of a frame restores that pair and
+    pops its vertex and edge off the trail.
     """
     inc = h.incidence()
     cover = h.edge_masks()
@@ -158,60 +169,82 @@ def _trail_search(
     verts = [start, second]
     edges = [first_edge]
     shift = h.n.bit_length()
+    # Edges whose domination is not asked for count as covered from the start.
+    free_cover = 0 if need_domination else full_cover
     dead: set[int] = set()
-
-    def search(cur: int, used: int, seen: int, covered: int) -> bool:
-        if goal >> cur & 1 and not (required_mask & ~seen):
-            if not need_domination or covered == full_cover:
-                if closing_edge is not None:
-                    verts.append(h.other_end(closing_edge, cur))
-                    edges.append(closing_edge)
-                return True
-        key = used << shift | cur
-        if key in dead:
-            return False
-        comp = frontier = 1 << cur
-        future = covered
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= avail[v]
-                future |= cover[v]
-            frontier = nxt & ~comp
-            comp |= frontier
+    # The top frame lives in the locals; the frames below it are tuples
+    # (cur, used, seen, covered, key, it, cleared).
+    stack: list[tuple] = []
+    cur, seen, covered, cleared = second, 1 << second, cover[second], False
+    while True:
+        # Enter the state (cur, used): accept it, or find it dead, or open it.
         if (
-            not (comp & goal)
-            or required_mask & ~(seen | comp)
-            or need_domination and future != full_cover
+            goal >> cur & 1
+            and not required_mask & ~seen
+            and covered | free_cover == full_cover
         ):
-            dead.add(key)
-            return False
-        cur_bit = 1 << cur
-        for eid, w in inc[cur]:
-            if used >> eid & 1:
+            if closing_edge is not None:
+                verts.append(h.other_end(closing_edge, cur))
+                edges.append(closing_edge)
+            return Trail(h, tuple(verts), tuple(edges))
+        key = used << shift | cur
+        live = False
+        if key not in dead:
+            # Grow the component of cur along unused edges a layer at a
+            # time, OR-ing the edges its vertices dominate, until all three
+            # prunes pass; a walk that runs out first marks the state dead.
+            comp = frontier = 1 << cur
+            future = covered
+            while frontier:
+                nxt = 0
+                while frontier:
+                    v = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    nxt |= avail[v]
+                    future |= cover[v]
+                frontier = nxt & ~comp
+                comp |= frontier
+                if (
+                    future | free_cover == full_cover
+                    and comp & goal
+                    and not required_mask & ~(seen | comp)
+                ):
+                    live = True
+                    it = iter(inc[cur])
+                    break
+            else:
+                dead.add(key)
+        while True:
+            if live:
+                for eid, w in it:
+                    if not used >> eid & 1:
+                        break
+                else:
+                    dead.add(key)
+                    live = False
+            if not live:
+                # Undo the step into cur and resume the frame below.
+                if not stack:
+                    return None
+                child, child_cleared = cur, cleared
+                cur, used, seen, covered, key, it, cleared = stack.pop()
+                verts.pop()
+                edges.pop()
+                if child_cleared:
+                    avail[cur] |= 1 << child
+                    avail[child] |= 1 << cur
+                live = True
                 continue
-            step = used | 1 << eid
-            last = not parallel[eid] & ~step
-            if last:
+            stack.append((cur, used, seen, covered, key, it, cleared))
+            used |= 1 << eid
+            cleared = not parallel[eid] & ~used
+            if cleared:
                 avail[cur] &= ~(1 << w)
-                avail[w] &= ~cur_bit
+                avail[w] &= ~(1 << cur)
             verts.append(w)
             edges.append(eid)
-            if search(w, step, seen | (1 << w), covered | cover[w]):
-                return True
-            verts.pop()
-            edges.pop()
-            if last:
-                avail[cur] |= 1 << w
-                avail[w] |= cur_bit
-        dead.add(key)
-        return False
-
-    if not search(second, used, 1 << second, cover[second]):
-        return None
-    return Trail(h, tuple(verts), tuple(edges))
+            cur, seen, covered = w, seen | 1 << w, covered | cover[w]
+            break
 
 
 def _closed_trail(h: Multigraph, first_edge: int, **options) -> Optional[Trail]:

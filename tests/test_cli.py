@@ -156,6 +156,20 @@ class TestPropsCommand:
         assert rows["hamiltonian-connected"] == "False"
         assert rows["non-hamiltonian pair"] == "(8, 10)"
 
+    def test_trail_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # A 1,100-vertex cycle with a second edge 0-1 is not simple, so its
+        # table ends with the dominating closed trail: the whole cycle.
+        from hamconn.encoding import encode_edgelist
+        from hamconn.multigraph import Multigraph
+
+        n = 1100
+        path = tmp_path / "doubled_cycle.el"
+        path.write_text(encode_edgelist(Multigraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 1)])))
+        assert main(["props", "--input", str(path), "--format", "el"]) == 0
+        out = capsys.readouterr().out
+        rows = {line[:28].rstrip(): line[29:] for line in out.splitlines() if line}
+        assert rows["dominating closed trail"] == "True"
+
     def test_claw_above_labeling_cap(self, tmp_path, capsys):
         # 70 vertices, above the labeling cap; the claw alone rules out a
         # preimage, so every row is still printed.

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -237,6 +238,62 @@ class TestTrailEngineOutput:
         assert digest.hexdigest() == (
             "a7dd0a0ebbd492b486af5c731bd1aaaa2dbc84681dc52f17137c10abbd6f75e2"
         )
+
+
+class TestSharpnessCensusOutput:
+    def test_idt_census_of_h1_to_h3_is_pinned(self):
+        # sha256 over find_idt on every ordered edge pair of H_1..H_3, the
+        # searches behind the sharpness census
+        digest = hashlib.sha256()
+        for p in (1, 2, 3):
+            h = wagner_counterexample(p)[1]
+            for e1, e2 in itertools.permutations(range(h.edge_count), 2):
+                witness = find_idt(h, e1, e2)
+                trail = None if witness is None else witness.trail
+                digest.update(repr(None if trail is None else (trail.vertices, trail.edges)).encode())
+        assert digest.hexdigest() == (
+            "ab83f91fa83c7f558760328b605211c26a32f3196f9a35eb9ce6f37490e40bb9"
+        )
+
+
+class TestDeepTrails:
+    # A 1,100-vertex cycle with a second edge 0-1: every trail the searches
+    # below can return runs round the whole cycle, one search step per edge.
+    N = 1100
+
+    @pytest.fixture(scope="class")
+    def doubled_cycle(self):
+        return Multigraph(self.N, [(i, (i + 1) % self.N) for i in range(self.N)] + [(0, 1)])
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        assert sys.getrecursionlimit() < self.N
+
+    def check(self, trail):
+        assert trail is not None
+        trail.validate()
+        assert len(trail.edges) >= self.N
+
+    def test_dct(self, doubled_cycle):
+        trail = find_dct(doubled_cycle)
+        self.check(trail)
+        assert trail.is_closed and trail.dominates_host_edges()
+
+    def test_spanning_closed_trail(self, doubled_cycle):
+        trail = find_spanning_closed_trail(doubled_cycle)
+        self.check(trail)
+        assert trail.is_closed and trail.is_spanning()
+
+    def test_closed_trail_through(self, doubled_cycle):
+        trail = find_closed_trail_through(doubled_cycle, [self.N // 2], 0)
+        self.check(trail)
+        assert trail.is_closed and self.N // 2 in trail.vertex_set()
+
+    def test_idt(self, doubled_cycle):
+        witness = find_idt(doubled_cycle, 0, self.N)
+        assert witness is not None
+        witness.validate()
+        self.check(witness.trail)
 
 
 class TestHamiltonianPath:
