@@ -198,16 +198,14 @@ def lift_closed_trail(cm: CoreMap, t: Trail) -> Trail:
 
     When the input spans the core, the lifted trail is checked to dominate
     every original edge (the executable content of the core's trail-lifting
-    guarantee).
+    guarantee).  Both trails check themselves when built.
     """
     if t.host is not cm.core and t.host != cm.core:
         raise LiftFailedError("trail does not live in this core")
-    t.validate()
     if not t.is_closed:
         raise LiftFailedError("only closed trails lift")
     vertices, edges = lift_walk(cm, t.vertices, t.edges)
     lifted = Trail(cm.original, vertices, edges)
-    lifted.validate()
     if not lifted.is_closed:
         raise LiftFailedError("lift of a closed trail must be closed")
     if t.is_spanning():

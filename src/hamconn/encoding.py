@@ -50,8 +50,9 @@ def _decode_n(data: list[int]) -> tuple[int, list[int]]:
 def _pack(n: int, bits: list[int]) -> str:
     """The six-bit text of vertex count ``n`` followed by ``bits``, six bits
     per character, most significant first; a short last group is padded
-    with zeros."""
-    bits = bits + [0] * (-len(bits) % 6)
+    with zeros in place: each caller builds ``bits`` for this call alone,
+    and a padded copy of a large graph6 body would double its peak memory."""
+    bits.extend([0] * (-len(bits) % 6))
     data = _encode_n(n)
     for i in range(0, len(bits), 6):
         word = 0

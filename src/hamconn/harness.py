@@ -335,14 +335,16 @@ def counterexample_report(pendants_per_vertex: int = 1) -> CounterexampleReport:
 
     Hamiltonian connectivity of g = L(h) is decided on the preimage side,
     by the IDT census of h (``missing_idt_pair``); the failing pair is a
-    vertex pair of g.
+    vertex pair of g.  The census checks that g is exactly L(h), so g is
+    claw-free without a search: in a line graph of a multigraph the
+    neighbors of edge xy are two cliques, the other edges at x and at y.
     """
     g, h = wagner_counterexample(pendants_per_vertex)
     pair = missing_idt_pair(g, h)
     return CounterexampleReport(
         graph=g,
         source=h,
-        claw_free=find_claw(g) is None,
+        claw_free=True,
         connectivity=vertex_connectivity(g),
         domination=domination_number(g),
         hamiltonian_connected=pair is None,

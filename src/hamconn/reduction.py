@@ -25,8 +25,12 @@ for 3-connected claw-free line graphs with small domination number:
    ``preimage`` numbers the edges of H as the vertices of g, so g itself
    is L(H) and the path is built on it.
 
-Every construction step is revalidated; a failed validation raises
-``LiftFailedError`` and is treated as a bug, never silently accepted.
+Each artifact is checked once, where it is made; a failed check raises
+``LiftFailedError``, a bug never silently accepted.  H: ``preimage``'s
+round trip (g is L(H)); the core: ``CoreMap.validate`` and step 2's cut
+and edge-connectivity checks; ``h_n``: ``build_hn``; each trail and path:
+``Trail`` itself; the IDT: ``_checked_idt``; the path: ``_check_ham_path``
+in ``idt_to_ham_path``.
 
 Whether a line graph g = L(H) is hamiltonian-connected is decided on the
 preimage side by ``missing_idt_pair(g, h)``: L(H) has a hamiltonian path
@@ -58,13 +62,7 @@ from .errors import (
     NotEssentially3EdgeConnectedError,
     TrailNotFoundError,
 )
-from .invariants import (
-    DominatingSet,
-    edge_connectivity,
-    edges_dominate,
-    find_essential_cut,
-    true_twin_leads,
-)
+from .invariants import DominatingSet, edge_connectivity, find_essential_cut, true_twin_leads
 from .linegraph import preimage
 from .multigraph import Multigraph, SimpleGraph, _mask_vertices
 from .trails import IdtWitness, Trail, _check_order, _order_trail, find_closed_trail_through, find_idt
@@ -190,9 +188,9 @@ def _checked_idt(
     h: Multigraph, verts: tuple[int, ...], edges: tuple[int, ...], e1: int, e2: int
 ) -> Optional[IdtWitness]:
     """The internally dominating trail of ``h`` along ``verts``/``edges``
-    with terminal edges e1, e2, or ``None`` when it fails validation."""
-    witness = IdtWitness(Trail(h, verts, edges), e1, e2)
+    with terminal edges e1, e2, or ``None`` when it is not one."""
     try:
+        witness = IdtWitness(Trail(h, verts, edges), e1, e2)
         witness.validate()
     except GraphError:
         return None
@@ -202,7 +200,6 @@ def _checked_idt(
 def idt_from_trail(ctx: PipelineContext, trail: Trail) -> IdtWitness:
     """Convert a closed trail of ``h_n`` through ``e_n`` visiting ``z`` into
     an internally dominating trail of H with terminal edges e1, e2."""
-    trail.validate()
     if trail.host != ctx.h_n:
         raise LiftFailedError("trail does not live in h_n")
     if not trail.is_closed or ctx.e_n not in trail.edges:
@@ -269,7 +266,7 @@ def _idt_order(witness: IdtWitness) -> list[int]:
     left = (1 << trail.host.edge_count) - 1
     for e in trail.edges:
         left &= ~(1 << e)
-    seq = [trail.edges[0]]
+    seq = list(trail.edges[:1])
     for v, e in zip(trail.vertices[1:-1], trail.edges[1:]):
         here = left & masks[v]
         left &= ~here
@@ -284,14 +281,17 @@ def _idt_order(witness: IdtWitness) -> list[int]:
 
 def idt_to_ham_path(g: SimpleGraph, witness: IdtWitness) -> Trail:
     """The hamiltonian path along ``_idt_order(witness)`` in the line graph
-    ``g`` of the trail's host H, between the terminal edges' vertices."""
+    ``g`` of the trail's host H, between the terminal edges' vertices.
+    Only the path is checked (``_check_ham_path``): a bad witness yields an
+    undominated edge, which ``_idt_order`` names, or a bad path."""
     h = witness.trail.host
     if h.edge_count < 3:
         raise GraphError("the edge-ordering construction needs at least 3 edges")
-    witness.validate()
     if g.n != h.edge_count:
         raise LiftFailedError("witness does not live in the line graph's source")
-    return _order_trail(g, _idt_order(witness))
+    order = _idt_order(witness)
+    _check_ham_path(g, order, witness.first_edge, witness.last_edge)
+    return _order_trail(g, order)
 
 
 def missing_idt_pair(g: SimpleGraph, h: Multigraph) -> Optional[tuple[int, int]]:
@@ -370,7 +370,11 @@ def run_pipeline(
     g: SimpleGraph, u: int, v: int, dominating: DominatingSet
 ) -> PipelineRun:
     """The reduction pipeline with all intermediate artifacts exposed; its
-    ``path`` is a validated hamiltonian u-v path of ``g``.
+    ``path`` is a hamiltonian u-v path of ``g``.
+
+    That the triple's edges f dominate H's edges needs no check of its own:
+    ``DominatingSet.validate`` proves that f dominates g, and ``preimage``'s
+    round trip that g is L(H), vertex i being edge i.
 
     Raises stage-tagged errors: ``NotALineGraphOfMultigraphError``,
     ``DegenerateCoreError``, ``NotEssentially3EdgeConnectedError``,
@@ -388,17 +392,13 @@ def run_pipeline(
     h = preimage(g)
     e1, e2 = u, v
     f = tuple(sorted(dominating.vertices))
-    if not edges_dominate(h, f):
-        raise LiftFailedError("dominating vertices do not dominate the preimage's edges")
     try:
         cm = core(h)
     except DegenerateCoreError:
         witness = _direct_idt(h, e1, e2)
         if witness is None:
             raise
-        path = idt_to_ham_path(g, witness)
-        _check_ham_path(g, path.vertices, u, v)
-        return PipelineRun(witness, path, None)
+        return PipelineRun(witness, idt_to_ham_path(g, witness), None)
     cut = find_essential_cut(h, 3)
     if cut is not None:
         raise NotEssentially3EdgeConnectedError(
@@ -419,9 +419,7 @@ def run_pipeline(
         )
     ctx = PipelineContext(cm, e1, e2, e0_1, e0_2, h_n, e_n, z)
     witness = idt_from_trail(ctx, trail)
-    path = idt_to_ham_path(g, witness)
-    _check_ham_path(g, path.vertices, u, v)
-    return PipelineRun(witness, path, ctx)
+    return PipelineRun(witness, idt_to_ham_path(g, witness), ctx)
 
 
 def _check_ham_path(g: SimpleGraph, order: Sequence[int], u: int, v: int) -> None:

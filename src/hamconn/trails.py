@@ -49,11 +49,15 @@ class Trail:
     ``vertices`` has one more entry than ``edges``; edge ``i`` joins
     ``vertices[i]`` and ``vertices[i + 1]``.  A trail is closed when it ends
     where it started (a single vertex with no edges is a closed trail).
+    Construction runs ``validate``, so a ``Trail`` that exists is valid.
     """
 
     host: Multigraph
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if len(self.vertices) != len(self.edges) + 1 or not self.vertices:
@@ -93,7 +97,7 @@ class IdtWitness:
     last_edge: int
 
     def validate(self) -> None:
-        self.trail.validate()
+        """Terminal edges and domination; the ``Trail`` checked itself."""
         if not self.trail.edges:
             raise GraphError("an internally dominating trail needs edges")
         if self.trail.edges[0] != self.first_edge or self.trail.edges[-1] != self.last_edge:
@@ -247,15 +251,6 @@ def _trail_search(
             break
 
 
-def _closed_trail(h: Multigraph, first_edge: int, **options) -> Optional[Trail]:
-    """A validated closed trail leaving the lower end of ``first_edge``."""
-    start = h.endpoints[first_edge][0]
-    trail = _trail_search(h, start, first_edge, 1 << start, **options)
-    if trail is not None:
-        trail.validate()
-    return trail
-
-
 def _least_edge_closed_trail(h: Multigraph, **options) -> Optional[Trail]:
     """The first closed trail found whose least edge id is a non-loop edge
     ``e``, trying each ``e`` in id order, or ``None``."""
@@ -263,7 +258,7 @@ def _least_edge_closed_trail(h: Multigraph, **options) -> Optional[Trail]:
         if u == v:
             continue
         # Canonicalization: edges below e are banned, so e is the least.
-        trail = _closed_trail(h, e, banned=(1 << e) - 1, **options)
+        trail = _trail_search(h, u, e, 1 << u, banned=(1 << e) - 1, **options)
         if trail is not None:
             return trail
     return None
@@ -282,7 +277,8 @@ def find_closed_trail_through(
     for v in required_vertices:
         h.check_vertex(v)
         required_mask |= 1 << v
-    return _closed_trail(h, through_edge, required_mask=required_mask)
+    start = h.endpoints[through_edge][0]
+    return _trail_search(h, start, through_edge, 1 << start, required_mask=required_mask)
 
 
 def find_spanning_closed_trail(h: Multigraph) -> Optional[Trail]:
@@ -443,18 +439,15 @@ def _hamiltonian_order(
 
 
 def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) -> Trail:
-    """The hamiltonian path along ``order``, checked; with ``closed``, the
-    cycle that steps back to ``order[0]`` at the end.  The edge ids come
-    from a map of all of ``g``'s edges built on each call, so a caller that
-    only needs the order checked uses ``_check_order``."""
-    _check_order(g.adjacency_masks(), order)
+    """The hamiltonian path along ``order``; with ``closed``, the cycle that
+    steps back to ``order[0]`` at the end.  Callers check the order first
+    (``_cycle_order`` does for a cycle).  The edge ids come from a map of all
+    of ``g``'s edges built on each call, which a bare order check skips."""
     if closed:
         order = [*order, order[0]]
     ids = {pair: e for e, pair in enumerate(g.endpoints)}
     edges = tuple(ids[(u, v) if u < v else (v, u)] for u, v in zip(order, order[1:]))
-    trail = Trail(g, tuple(order), edges)
-    trail.validate()
-    return trail
+    return Trail(g, tuple(order), edges)
 
 
 def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:
@@ -464,7 +457,10 @@ def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:
     if a == b:
         raise GraphError("hamiltonian path endpoints must differ")
     order = _hamiltonian_order(g, a, 1 << b)
-    return None if order is None else _order_trail(g, order)
+    if order is None:
+        return None
+    _check_order(g.adjacency_masks(), order)
+    return _order_trail(g, order)
 
 
 def missing_hamiltonian_pair(g: SimpleGraph) -> Optional[tuple[int, int]]:

@@ -1,7 +1,8 @@
 import pytest
 
 from hamconn.constructions import petersen, wagner, wagner_counterexample
-from hamconn.invariants import is_claw_free, vertex_connectivity
+from hamconn.harness import counterexample_report
+from hamconn.invariants import find_claw, is_claw_free, vertex_connectivity
 from hamconn.multigraph import SimpleGraph, isomorphic
 from hamconn.trails import is_hamiltonian
 
@@ -57,6 +58,14 @@ class TestCounterexample:
         g, _ = wagner_counterexample(1)
         assert is_claw_free(g)
         assert vertex_connectivity(g) >= 3
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_report_claw_free_agrees_with_the_claw_search(self, p):
+        # the report reads claw-freeness off the L(H) check of its census;
+        # the search confirms it on the same graph
+        g, _ = wagner_counterexample(p)
+        assert find_claw(g) is None
+        assert counterexample_report(p).claw_free
 
     def test_core_is_wagner(self):
         from hamconn.core import core

@@ -157,6 +157,12 @@ class TestLifting:
         with pytest.raises(LiftFailedError):
             lift_closed_trail(cm, t)
 
+    def test_trail_of_another_host_rejected(self, k4_with_pendants):
+        cm = core(k4_with_pendants)
+        t = Trail(cm.original, (0, 1, 2, 0), (0, 3, 1))
+        with pytest.raises(LiftFailedError, match="does not live in this core"):
+            lift_closed_trail(cm, t)
+
     def test_random_lifting_soundness(self):
         rng = random.Random(28)
         produced = 0

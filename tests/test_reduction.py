@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hamconn import linegraph, reduction
+from hamconn import linegraph, reduction, trails
 from hamconn.constructions import wagner_counterexample
-from hamconn.core import core
+from hamconn.core import core, lift_walk
 from hamconn.errors import (
     GraphError,
     LiftFailedError,
@@ -53,6 +54,50 @@ def _swapped_idt_order(witness):
     mid = len(order) // 2
     order[1], order[mid] = order[mid], order[1]
     return order
+
+
+def _reversed_idt_order(witness):
+    """``_idt_order`` backwards: a hamiltonian path of L(H) whose ends are
+    swapped."""
+    return _idt_order(witness)[::-1]
+
+
+def _lift_dropping_an_edge(cm, vertices, edges):
+    """``lift_walk`` with its middle edge and the vertex after it left out:
+    the walk keeps its shape but no longer steps along its edges."""
+    mv, me = lift_walk(cm, vertices, edges)
+    i = len(me) // 2
+    return mv[: i + 1] + mv[i + 2 :], me[:i] + me[i + 1 :]
+
+
+def _lift_cut_short(cm, vertices, edges):
+    """``lift_walk`` cut down to its first vertex: joined to the terminal
+    pieces it can still be a trail, but one whose interior misses edges."""
+    mv, _ = lift_walk(cm, vertices, edges)
+    return mv[:1], ()
+
+
+def _pipeline_on_k4_with_pendants(u, v):
+    """``run_pipeline`` on L(H), H the ``k4_with_pendants`` fixture; it needs
+    no fixture, so a child process can run it too."""
+    h = Multigraph(
+        8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7)]
+    )
+    g = line_graph(h)
+    return run_pipeline(g, u, v, dominating_set(g, 3))
+
+
+# Each corruption of a pipeline step that ``run_pipeline`` must refuse with
+# ``LiftFailedError``: (reduction attribute, replacement in this module,
+# the refusal's message).  The lifted trails are refused inside
+# ``_checked_idt``, the broken one by the ``Trail`` check and the short one
+# by the IDT check; the orders by ``_check_ham_path``.
+_PIPELINE_MUTATIONS = {
+    "lift": ("lift_walk", "_lift_dropping_an_edge", "no orientation of the lifted trail"),
+    "idt": ("lift_walk", "_lift_cut_short", "no orientation of the lifted trail"),
+    "order": ("_idt_order", "_swapped_idt_order", "hamiltonian order steps along a non-edge"),
+    "ends": ("_idt_order", "_reversed_idt_order", "path endpoints are wrong"),
+}
 
 
 class TestProjectEdge:
@@ -186,6 +231,13 @@ class TestIdtToHamPath:
         t = Trail(h, (0, 1, 2), (0, 1))
         with pytest.raises(GraphError):
             idt_to_ham_path(line_graph(h), IdtWitness(t, 0, 1))
+
+    def test_witness_without_edges_is_refused(self):
+        # idt_to_ham_path does not check the witness again; an edgeless
+        # trail leaves every edge undominated, and _idt_order says so
+        h = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(LiftFailedError, match="edge 0 is not dominated"):
+            idt_to_ham_path(line_graph(h), IdtWitness(Trail(h, (1,), ()), 0, 2))
 
     def test_undominated_edge_is_named(self):
         # 0 -e0- 1 -e1- 2 -e2- 3 with e3 = (3, 4) and e4 = (4, 5) off the
@@ -459,6 +511,67 @@ class TestPipeline:
             interior = frozenset(run.idt.trail.vertices[1:-1])
             for a, b in run.idt.trail.host.endpoints:
                 assert a in interior or b in interior
+
+
+class TestPipelineChecks:
+    """Each artifact is checked once, and each check still refuses a
+    corrupted artifact, also under ``python -O``."""
+
+    def test_each_artifact_is_checked_once(self, k4_with_pendants, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Trail, "validate", counting("trail", Trail.validate))
+        monkeypatch.setattr(IdtWitness, "validate", counting("idt", IdtWitness.validate))
+        monkeypatch.setattr(trails, "_check_order", counting("order", trails._check_order))
+        monkeypatch.setattr(reduction, "_check_order", counting("order", reduction._check_order))
+        monkeypatch.setattr(reduction, "_checked_idt", counting("option", reduction._checked_idt))
+        g = line_graph(k4_with_pendants)
+        d = dominating_set(g, 3)
+        seen = set()
+        for u, v in itertools.combinations(range(g.n), 2):
+            counts.clear()
+            run_pipeline(g, u, v, d)
+            # the closed trail of h_n, one trail per lift option tried, the path
+            assert counts["trail"] == 2 + counts["option"], (u, v)
+            assert counts["idt"] == counts["option"], (u, v)
+            assert counts["order"] == 1, (u, v)
+            seen.add(counts["trail"])
+        assert min(seen) == 3
+
+    @pytest.mark.parametrize("mutation", sorted(_PIPELINE_MUTATIONS))
+    def test_a_corrupted_step_is_refused(self, mutation, monkeypatch):
+        attr, name, message = _PIPELINE_MUTATIONS[mutation]
+        monkeypatch.setattr(reduction, attr, globals()[name])
+        for u, v in [(0, 9), (2, 7), (6, 9)]:
+            with pytest.raises(LiftFailedError, match=message):
+                _pipeline_on_k4_with_pendants(u, v)
+
+    @pytest.mark.parametrize("mutation", sorted(_PIPELINE_MUTATIONS))
+    def test_a_corrupted_step_is_refused_under_dash_o(self, mutation):
+        # python -O strips assert statements; every check raises instead
+        attr, name, message = _PIPELINE_MUTATIONS[mutation]
+        src = str(Path(reduction.__file__).resolve().parents[1])
+        code = (
+            "import sys, test_reduction\n"
+            "from hamconn import reduction\n"
+            f"reduction.{attr} = test_reduction.{name}\n"
+            "print(sys.flags.optimize)\n"
+            "test_reduction._pipeline_on_k4_with_pendants(0, 9)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "1\n"
+        assert f"hamconn.errors.LiftFailedError: {message}" in done.stderr
 
 
 class TestPipelineRandomized:

@@ -8,7 +8,7 @@ import pytest
 from hamconn import trails
 from hamconn.constructions import wagner_counterexample
 from hamconn.corpus import random_3_edge_connected_multigraph, random_multigraph
-from hamconn.errors import GraphError, LiftFailedError
+from hamconn.errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 from hamconn.linegraph import line_graph
 from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph, cycle_graph
 from hamconn.trails import (
@@ -47,6 +47,24 @@ class TestTrailType:
         t = Trail(k4, (2,), ())
         t.validate()
         assert t.is_closed
+
+    @pytest.mark.parametrize(
+        "vertices, edges, error",
+        [
+            ((0, 1), (), GraphError),  # shape mismatch
+            ((), (), GraphError),  # no vertex at all
+            ((0, 1, 0), (0, 0), GraphError),  # repeated edge
+            ((0, 2), (0,), GraphError),  # edge 0 joins 0 and 1, not 0 and 2
+            ((0, 4), (0,), UnknownVertexError),
+            ((0, 1), (6,), UnknownEdgeError),
+        ],
+    )
+    def test_a_malformed_trail_cannot_be_built(self, k4, vertices, edges, error):
+        # the check runs at construction, so no malformed Trail exists to be
+        # checked later
+        with pytest.raises(error) as caught:
+            Trail(k4, vertices, edges)
+        assert isinstance(caught.value, GraphError)
 
 
 # 0 =e0,e5= 1 =e1,e2= 2 =e3,e4= 3 -e6- 4: three parallel pairs on a path
