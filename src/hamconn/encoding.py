@@ -3,7 +3,9 @@
 The two six-bit formats follow the published byte layouts exactly: graph6
 stores the upper triangle of a simple graph's adjacency matrix in the order
 (0,1), (0,2), (1,2), (0,3), ... with zero padding; sparse6 stores (1+k)-bit
-groups with a leading ':' and preserves parallel edges and loops.  The edge
+groups with a leading ':' and preserves parallel edges and loops.  The body
+of either is built and read as a bit string of ``'0'``/``'1'`` characters, so
+``format``, ``int(..., 2)`` and ``str.find`` do the bit work.  The edge
 list format is one edge per line with an ``n m`` header, ``#`` comments,
 duplicate lines meaning parallel edges, and ``u u`` meaning a loop.
 """
@@ -47,23 +49,21 @@ def _decode_n(data: list[int]) -> tuple[int, list[int]]:
     return n, data[8:]
 
 
-def _pack(n: int, bits: list[int]) -> str:
-    """The six-bit text of vertex count ``n`` followed by ``bits``, six bits
-    per character, most significant first; a short last group is padded
-    with zeros in place: each caller builds ``bits`` for this call alone,
-    and a padded copy of a large graph6 body would double its peak memory."""
-    bits.extend([0] * (-len(bits) % 6))
-    data = _encode_n(n)
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        data.append(word)
-    return "".join(chr(d + 63) for d in data)
+_CHUNK_CHARS = {format(word, "06b"): chr(word + 63) for word in range(64)}
 
 
-def _unpack(text: str) -> tuple[int, list[int]]:
-    """The inverse of ``_pack``: the vertex count and the body's bits."""
+def _pack(n: int, bits: str) -> str:
+    """The six-bit text of vertex count ``n`` followed by the bit string
+    ``bits`` (``'0'``/``'1'`` characters), six bits per character, most
+    significant first; a short last chunk is padded with ``'0'``."""
+    bits += "0" * (-len(bits) % 6)
+    head = "".join(chr(d + 63) for d in _encode_n(n))
+    return head + "".join([_CHUNK_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+
+
+def _unpack(text: str) -> tuple[int, str]:
+    """The inverse of ``_pack``: the vertex count and the body as a bit
+    string, six ``'0'``/``'1'`` characters per body character."""
     data = []
     for ch in text:
         value = ord(ch) - 63
@@ -71,16 +71,19 @@ def _unpack(text: str) -> tuple[int, list[int]]:
             raise EncodingError(f"character {ch!r} outside the six-bit range")
         data.append(value)
     n, body = _decode_n(data)
-    return n, [(word >> shift) & 1 for word in body for shift in range(5, -1, -1)]
+    return n, "".join([format(word, "06b") for word in body])
 
 
 # -- graph6 -----------------------------------------------------------------------
 
 
 def encode_graph6(g: SimpleGraph) -> str:
-    """The graph6 line for a simple graph (no trailing newline)."""
+    """The graph6 line for a simple graph (no trailing newline).  Column j
+    of the upper triangle is bits 0..j-1 of vertex j's neighbor mask, low
+    bit first."""
     masks = g.adjacency_masks()
-    return _pack(g.n, [(masks[i] >> j) & 1 for j in range(1, g.n) for i in range(j)])
+    columns = [format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)]
+    return _pack(g.n, "".join(columns))
 
 
 def decode_graph6(line: str) -> SimpleGraph:
@@ -94,15 +97,16 @@ def decode_graph6(line: str) -> SimpleGraph:
     need = n * (n - 1) // 2
     if len(bits) != 6 * ((need + 5) // 6):
         raise EncodingError(f"graph6 body has {len(bits) // 6} words, expected {(need + 5) // 6}")
-    if any(bits[need:]):
+    if "1" in bits[need:]:
         raise EncodingError("nonzero padding bits in graph6 data")
     edges = []
-    idx = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+        i = bits.find("1", start, start + j)
+        while i >= 0:
+            edges.append((i - start, j))
+            i = bits.find("1", i + 1, start + j)
+        start += j
     return SimpleGraph(n, edges)
 
 
@@ -120,35 +124,25 @@ def encode_sparse6(h: Multigraph) -> str:
     """The sparse6 line for a multigraph (loops and parallels preserved)."""
     n = h.n
     k = _sparse6_k(n)
-    bits: list[int] = []
-
-    def enc(x: int) -> None:
-        for i in range(k - 1, -1, -1):
-            bits.append((x >> i) & 1)
-
+    groups = []
     edges = sorted((max(u, v), min(u, v)) for u, v in h.endpoints)
     curv = 0
     for v, u in edges:
         if v == curv:
-            bits.append(0)
-            enc(u)
+            groups.append(f"0{u:0{k}b}")
         elif v == curv + 1:
             curv += 1
-            bits.append(1)
-            enc(u)
+            groups.append(f"1{u:0{k}b}")
         else:
             curv = v
-            bits.append(1)
-            enc(v)
-            bits.append(0)
-            enc(u)
+            groups.append(f"1{v:0{k}b}0{u:0{k}b}")
+    bits = "".join(groups)
     pad = (-len(bits)) % 6
     if k < 6 and n == (1 << k) and pad >= k and curv < n - 1:
         # All-ones padding would decode as a loop at n-1; prefix a zero bit.
-        bits.append(0)
+        bits += "0"
         pad = (-len(bits)) % 6
-    bits.extend([1] * pad)
-    return ":" + _pack(n, bits)
+    return ":" + _pack(n, bits + "1" * pad)
 
 
 def decode_sparse6(line: str) -> Multigraph:
@@ -162,15 +156,10 @@ def decode_sparse6(line: str) -> Multigraph:
     k = _sparse6_k(n)
     edges = []
     v = 0
-    pos = 0
-    while pos + 1 + k <= len(bits):
-        b = bits[pos]
-        x = 0
-        for i in range(pos + 1, pos + 1 + k):
-            x = (x << 1) | bits[i]
-        pos += 1 + k
-        if b:
+    for pos in range(0, len(bits) - k, 1 + k):
+        if bits[pos] == "1":
             v += 1
+        x = int(bits[pos + 1 : pos + 1 + k], 2)
         if x >= n or v >= n:
             break
         if x > v:
@@ -206,6 +195,8 @@ def decode_edgelist(text: str) -> Multigraph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EncodingError("edge list header must be two integers") from exc
+    if n < 0:
+        raise EncodingError("vertex count cannot be negative")
     if len(rows) - 1 != m:
         raise EncodingError(f"edge list declares {m} edges but has {len(rows) - 1}")
     edges = []

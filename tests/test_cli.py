@@ -141,6 +141,12 @@ class TestPropsCommand:
     def test_missing_input(self, capsys):
         assert main(["props"]) == 2
 
+    def test_negative_edge_list_vertex_count_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "negative.el"
+        path.write_text("-1 0\n")
+        assert main(["props", "--input", str(path), "--format", "el"]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: vertex count cannot be negative\n"
+
     def test_line_graph_above_32_vertices(self, tmp_path, capsys):
         from hamconn.constructions import wagner_counterexample
         from hamconn.encoding import encode_edgelist

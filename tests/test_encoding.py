@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -12,17 +13,25 @@ from hamconn.encoding import (
     encode_graph6,
     encode_sparse6,
 )
+from hamconn.constructions import wagner_counterexample
+from hamconn.corpus import graph_classes
 from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph
 
+#: Vertex counts on both sides of the one-byte and four-byte vertex-count
+#: headers (n <= 62 and 63 <= n <= 258047), added to the reference checks.
+HEADER_SIZES = (62, 63, 64, 129, 300)
 
-def random_simple(rng, max_n=16):
-    n = rng.randint(1, max_n)
+
+def random_simple(rng, max_n=16, n=None):
+    if n is None:
+        n = rng.randint(1, max_n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
     return SimpleGraph(n, edges)
 
 
-def random_multi(rng, max_n=14, max_m=24):
-    n = rng.randint(1, max_n)
+def random_multi(rng, max_n=14, max_m=24, n=None):
+    if n is None:
+        n = rng.randint(1, max_n)
     m = rng.randint(0, max_m)
     return Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
 
@@ -54,8 +63,9 @@ class TestGraph6:
 
     def test_cross_decoding_with_networkx(self):
         rng = random.Random(42)
-        for _ in range(200):
-            g = random_simple(rng)
+        graphs = [random_simple(rng) for _ in range(200)]
+        graphs += [random_simple(rng, n=n) for n in HEADER_SIZES]
+        for g in graphs:
             line = encode_graph6(g)
             ref = nx.from_graph6_bytes(line.encode())
             assert ref.number_of_nodes() == g.n
@@ -102,8 +112,9 @@ class TestSparse6:
 
     def test_cross_decoding_with_networkx(self):
         rng = random.Random(44)
-        for _ in range(200):
-            h = random_multi(rng)
+        graphs = [random_multi(rng) for _ in range(200)]
+        graphs += [random_multi(rng, max_m=2 * n, n=n) for n in HEADER_SIZES]
+        for h in graphs:
             line = encode_sparse6(h)
             ref = nx.from_sparse6_bytes(line.encode())
             assert ref.number_of_nodes() == h.n
@@ -126,6 +137,29 @@ class TestSparse6:
         assert decode_sparse6(":Bb") == Multigraph(3, [(0, 1)])
         # n = 2, k = 1: (1, 0) reads edge (0, 1), then (1, 0) moves v to 2
         assert decode_sparse6(":Ag") == Multigraph(2, [(0, 1)])
+
+
+class TestPinnedStrings:
+    def test_six_bit_strings_are_pinned(self):
+        # sha256 over the graph6 of every claw-free class on up to 6
+        # vertices (the strings violations and witness files carry), of
+        # L(H_1..H_6), and the sparse6 of H_1..H_6; each decodes back
+        digest = hashlib.sha256()
+
+        def record(line, decode, graph):
+            digest.update(line.encode() + b"\n")
+            assert decode(line) == graph
+
+        for g, _ in graph_classes(6, claw_free=True):
+            record(encode_graph6(g), decode_graph6, g)
+        family = [wagner_counterexample(p) for p in range(1, 7)]
+        for g, _ in family:
+            record(encode_graph6(g), decode_graph6, g)
+        for _, h in family:
+            record(encode_sparse6(h), decode_sparse6, h)
+        assert digest.hexdigest() == (
+            "2f7d3700969d4d147ccf75fbc8820b500b1946b1e8a7ec561697dc0eb105ee94"
+        )
 
 
 class TestEdgeList:
@@ -152,3 +186,6 @@ class TestEdgeList:
         with pytest.raises(EncodingError):
             decode_edgelist("2 2\n0 1\n")
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(EncodingError, match="vertex count cannot be negative"):
+            decode_edgelist("-1 0\n")
