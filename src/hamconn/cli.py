@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .encoding import (
     EncodingError,
-    encode_edgelist,
+    edgelist_lines,
     encode_graph6,
     encode_sparse6,
 )
@@ -48,7 +48,7 @@ from .harness import (
     write_witnesses,
 )
 from .invariants import dominating_set
-from .multigraph import Multigraph, SimpleGraph
+from .multigraph import Multigraph
 from .reduction import run_pipeline
 
 EXIT_OK = 0
@@ -81,7 +81,7 @@ def _output_file(path: Optional[str]):
         yield fh
 
 
-def _load_graphs(args) -> list[Multigraph]:
+def _load_graphs(args, *, simple: bool = False) -> list[Multigraph]:
     named = getattr(args, "named", None)
     if named:
         return [NAMED[named]()]
@@ -89,19 +89,13 @@ def _load_graphs(args) -> list[Multigraph]:
         hint = " or --named NAME" if "named" in args else ""
         raise EncodingError(f"no input: pass --input FILE{hint}")
     with _user_file(args.input):
-        return read_corpus_file(args.input, args.format)
-
-
-def _as_simple(g: Multigraph) -> SimpleGraph:
-    if isinstance(g, SimpleGraph):
-        return g
-    return SimpleGraph(g.n, g.endpoints)
+        return read_corpus_file(args.input, args.format, simple=simple)
 
 
 def cmd_verify(args) -> int:
     with _output_file(args.emit_witnesses) as out:
         if args.input:
-            graphs = [_as_simple(g) for g in _load_graphs(args)]
+            graphs = _load_graphs(args, simple=True)
             report = verify_theorem_graphs(graphs, args.hypothesis, workers=args.workers)
         else:
             report = verify_theorem_enumerated(args.n, args.hypothesis, workers=args.workers)
@@ -122,10 +116,10 @@ def cmd_props(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    graphs = _load_graphs(args)
+    graphs = _load_graphs(args, simple=True)
     if not graphs:
         raise EncodingError(f"{args.input}: no graph in the file")
-    g = _as_simple(graphs[0])
+    g = graphs[0]
     d = dominating_set(g, 3)
     if d is None:
         print("input graph has domination number above 3", file=sys.stderr)
@@ -153,8 +147,8 @@ def cmd_counterexample(args) -> int:
         if out is not None:
             with _user_file(args.emit):
                 out.write("# sharpness counterexample: line graph g, then source h\n")
-                out.write(encode_edgelist(report.graph))
-                out.write(encode_edgelist(report.source))
+                out.writelines(edgelist_lines(report.graph))
+                out.writelines(edgelist_lines(report.source))
                 out.flush()
     return EXIT_OK if report.demonstrates_sharpness else EXIT_VIOLATIONS
 

@@ -70,10 +70,21 @@ def _within_cap(graph: Multigraph, where: str) -> Multigraph:
     return graph
 
 
-def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
+def _as_simple(graph: Multigraph, where: str) -> SimpleGraph:
+    if isinstance(graph, SimpleGraph):
+        return graph
+    try:
+        return SimpleGraph(graph.n, graph.endpoints)
+    except GraphError as exc:
+        raise EncodingError(f"{where}: {exc}") from exc
+
+
+def read_corpus_file(path: str, fmt: str, *, simple: bool = False) -> list[Multigraph]:
     """Decode a corpus file line by line, reporting errors with file/line;
     a graph above ``MAX_INPUT_VERTICES`` vertices is an error at its line
-    (an edge list's header line)."""
+    (an edge list's header line).  With ``simple`` every graph comes back as
+    a ``SimpleGraph``, and a loop or parallel edge is an error at its line
+    (the file, for an edge list)."""
     graphs: list[Multigraph] = []
     with open(path) as fh:
         try:
@@ -87,7 +98,8 @@ def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
             raise EncodingError(f"{path}: {exc}") from exc
         lines = enumerate(text.splitlines(), start=1)
         header = next(lineno for lineno, line in lines if line.split("#", 1)[0].strip())
-        return [_within_cap(graph, f"{path}:{header}")]
+        graph = _within_cap(graph, f"{path}:{header}")
+        return [_as_simple(graph, path) if simple else graph]
     decoder = {"g6": decode_graph6, "s6": decode_sparse6}.get(fmt)
     if decoder is None:
         raise EncodingError(f"unknown format {fmt!r}")
@@ -98,7 +110,8 @@ def read_corpus_file(path: str, fmt: str) -> list[Multigraph]:
             graph = decoder(line)
         except EncodingError as exc:
             raise EncodingError(f"{path}:{lineno}: {exc}") from exc
-        graphs.append(_within_cap(graph, f"{path}:{lineno}"))
+        graph = _within_cap(graph, f"{path}:{lineno}")
+        graphs.append(_as_simple(graph, f"{path}:{lineno}") if simple else graph)
     return graphs
 
 _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(MAX_ENUMERATION_VERTICES + 1)}

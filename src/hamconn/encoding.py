@@ -12,6 +12,8 @@ duplicate lines meaning parallel edges, and ``u u`` meaning a loop.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import GraphError
 from .multigraph import Multigraph, SimpleGraph
 
@@ -172,11 +174,17 @@ def decode_sparse6(line: str) -> Multigraph:
 # -- edge list ------------------------------------------------------------------------
 
 
+def edgelist_lines(h: Multigraph) -> Iterator[str]:
+    """The edge-list lines, each with its newline, made one at a time: the
+    ``n m`` header then one ``u v`` line per edge."""
+    yield f"{h.n} {h.edge_count}\n"
+    for u, v in h.endpoints:
+        yield f"{u} {v}\n"
+
+
 def encode_edgelist(h: Multigraph) -> str:
     """Multi-line text: ``n m`` header then one ``u v`` line per edge."""
-    lines = [f"{h.n} {h.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in h.endpoints)
-    return "\n".join(lines) + "\n"
+    return "".join(edgelist_lines(h))
 
 
 def decode_edgelist(text: str) -> Multigraph:

@@ -1,12 +1,12 @@
-"""Exact trail and path search, built on two backtracking engines.
+"""Exact trail and path search, built on two backtracking engines.  Both
+run as one loop over an explicit stack of frames, one per step, so the
+interpreter's recursion limit bounds neither a trail nor a hamiltonian order.
 
 ``_trail_search`` walks edge trails in a multigraph: a trail leaves a start
 vertex along a prescribed first edge and stops at a goal vertex, optionally
 taking a prescribed closing edge last.  Closed trails through an edge,
 spanning closed trails, dominating closed trails and internally dominating
-trails are all calls into it.  It runs as one loop over an explicit
-stack of frames, one per trail step, so the interpreter's recursion limit
-does not bound the trail length.  States are ``(current vertex, used-edge
+trails are all calls into it.  States are ``(current vertex, used-edge
 bitmask)``; dead states are memoized under one int key,
 ``used << n.bit_length() | cur``, and a state is pruned when the goal, a
 required vertex or (when asked) some edge's domination is out of reach
@@ -362,6 +362,8 @@ def _hamiltonian_order(
     found is checked, its end is dropped from ``ends``, and the search goes
     on until no end is left or the space is exhausted.  The bitmask of the
     ends reached is returned.
+
+    The search is one loop over an explicit stack, one frame per order step.
     """
     masks = g.adjacency_masks()
     full = (1 << g.n) - 1
@@ -372,70 +374,67 @@ def _hamiltonian_order(
     dead: set[int] = set()
     order = [start]
     reached = 0
-
-    def search(cur: int, visited: int) -> bool:
-        """Explore from the state; True stops the whole search."""
-        nonlocal ends, reached
+    # The top frame lives in the locals; the frames below it are tuples
+    # (cur, visited, key, it).
+    stack: list[tuple] = []
+    cur, visited = start, 1 << start
+    while True:
+        # Enter the state (cur, visited): finish an order or rank its moves.
         key = visited << shift | cur
-        if key in dead:
-            return False
-        unvisited = full & ~visited
-        if not unvisited & (unvisited - 1):
-            if masks[cur] & ends & unvisited:
-                order.append(unvisited.bit_length() - 1)
-                if not collect:
-                    return True
-                _check_order(masks, order)
-                ends &= ~unvisited
-                reached |= unvisited
+        it = ()  # a dead state has no candidates
+        if key not in dead:
+            unvisited = full & ~visited
+            open_ends = unvisited & ends
+            if not unvisited & (unvisited - 1):
+                if masks[cur] & open_ends:
+                    order.append(unvisited.bit_length() - 1)
+                    if not collect:
+                        return order
+                    _check_order(masks, order)
+                    ends &= ~unvisited
+                    reached |= unvisited
+                    order.pop()
+                    if not ends:
+                        return reached
+            elif open_ends:
+                region = unvisited | 1 << cur
+                live = not unvisited & ~_bit_component(masks, 1 << cur, region)
+                # Each unvisited vertex but the last needs an entry and an exit
+                # in the region; the one that cannot have both must be an end.
+                last = 0
+                rest = unvisited
+                while live and rest:
+                    v = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if (masks[v] & region).bit_count() < 2:
+                        if last or not ends >> v & 1:
+                            live = False
+                        last = 1 << v
+                if live:
+                    candidates = masks[cur] & unvisited & ~last
+                    if not open_ends & (open_ends - 1):
+                        candidates &= ~open_ends
+                    ranked = []
+                    while candidates:
+                        w = (candidates & -candidates).bit_length() - 1
+                        candidates &= candidates - 1
+                        ranked.append(((masks[w] & unvisited).bit_count(), w))
+                    it = iter(sorted(ranked))
+        while True:
+            for _, w in it:
+                break
+            else:
+                # No candidate is left: the state is dead; resume the frame below.
+                dead.add(key)
+                if not stack:
+                    return reached if collect else None
+                cur, visited, key, it = stack.pop()
                 order.pop()
-                if not ends:
-                    return True
-            dead.add(key)
-            return False
-        open_ends = unvisited & ends
-        if not open_ends:
-            dead.add(key)
-            return False
-        cur_bit = 1 << cur
-        comp = _bit_component(masks, cur_bit, unvisited | cur_bit)
-        if unvisited & ~comp:
-            dead.add(key)
-            return False
-        # Every unvisited vertex but the last still needs an entry and an
-        # exit, drawn from the unvisited region plus cur; the one that
-        # cannot have both must be the last, so it must be an end.
-        region = unvisited | cur_bit
-        last = 0
-        rest = unvisited
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if (masks[v] & region).bit_count() < 2:
-                if last or not ends >> v & 1:
-                    dead.add(key)
-                    return False
-                last = 1 << v
-        candidates = masks[cur] & unvisited & ~last
-        if not open_ends & (open_ends - 1):
-            candidates &= ~open_ends
-        ranked = []
-        while candidates:
-            w = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            ranked.append(((masks[w] & unvisited).bit_count(), w))
-        for _, w in sorted(ranked):
+                continue
+            stack.append((cur, visited, key, it))
             order.append(w)
-            if search(w, visited | (1 << w)):
-                return True
-            order.pop()
-        dead.add(key)
-        return False
-
-    found = search(start, 1 << start)
-    if collect:
-        return reached
-    return order if found else None
+            cur, visited = w, visited | 1 << w
+            break
 
 
 def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) -> Trail:

@@ -3,9 +3,10 @@ import pytest
 from hamconn import cli
 from hamconn.cli import main
 from hamconn.corpus import MAX_INPUT_VERTICES
-from hamconn.encoding import decode_sparse6, encode_graph6
+from hamconn.constructions import wagner_counterexample
+from hamconn.encoding import decode_sparse6, encode_edgelist, encode_graph6, encode_sparse6
 from hamconn.linegraph import line_graph
-from hamconn.multigraph import complete_graph, star_graph
+from hamconn.multigraph import Multigraph, complete_graph, star_graph
 
 
 @pytest.fixture
@@ -30,6 +31,39 @@ class TestVerifyCommand:
         assert main(["verify", "--input", str(path), "--hypothesis", "thm1"]) == 0
         out = capsys.readouterr().out
         assert "domination<=3            0" in out
+
+    def test_hamiltonian_cycle_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # K_1100 is within the input cap; its hamiltonian cycle search takes
+        # one step per vertex
+        path = tmp_path / "k1100.g6"
+        path.write_text(encode_graph6(complete_graph(1100)) + "\n")
+        assert main(["verify", "--input", str(path), "--hypothesis", "ageev"]) == 0
+        out = capsys.readouterr().out
+        assert "hamiltonian              1" in out
+        assert "violations               0" in out
+
+
+class TestMultigraphInput:
+    # verify and pipeline take simple graphs only: a triangle with a doubled
+    # edge is an input error that names the file, and the line for sparse6
+    H = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+    FILES = {
+        "el": (encode_edgelist(H), ""),
+        "s6": (f"# a triangle with a doubled edge\n{encode_sparse6(H)}\n", ":2"),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(FILES))
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["pipeline", "0", "1"]], ids=["verify", "pipeline"]
+    )
+    def test_is_an_input_error_naming_the_file(self, argv, fmt, tmp_path, capsys):
+        text, line = self.FILES[fmt]
+        path = tmp_path / f"doubled.{fmt}"
+        path.write_text(text)
+        assert main(argv + ["--input", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {path}{line}: parallel edge (0, 1) not allowed in a simple graph\n"
 
 
 class TestVerifyUnderO:
@@ -256,7 +290,9 @@ class TestCounterexampleCommand:
         out = capsys.readouterr().out
         assert "sharpness demonstrated: True" in out
         assert "graph6(g):" in out
-        assert out_file.exists()
+        g, h = wagner_counterexample(1)
+        header = "# sharpness counterexample: line graph g, then source h\n"
+        assert out_file.read_text() == header + encode_edgelist(g) + encode_edgelist(h)
 
     def test_large_pendant_count_finishes(self):
         # in a child process with a timeout: the census is decided up to

@@ -10,7 +10,7 @@ from hamconn.constructions import wagner_counterexample
 from hamconn.corpus import random_3_edge_connected_multigraph, random_multigraph
 from hamconn.errors import GraphError, LiftFailedError, UnknownEdgeError, UnknownVertexError
 from hamconn.linegraph import line_graph
-from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph, cycle_graph
+from hamconn.multigraph import Multigraph, SimpleGraph, complete_graph, cycle_graph, path_graph
 from hamconn.trails import (
     Trail,
     find_closed_trail_through,
@@ -258,6 +258,35 @@ class TestTrailEngineOutput:
         )
 
 
+class TestHamiltonianEngineOutput:
+    def test_orders_found_are_pinned(self):
+        # sha256 over the hamiltonian path of every ordered vertex pair, the
+        # hamiltonian cycle and the first missing pair (or None) on a seeded
+        # set of simple graphs: the visiting order decides which order is
+        # returned, and the first missing pair is what verify reports
+        digest = hashlib.sha256()
+
+        def record(value):
+            digest.update(repr(value).encode())
+
+        rng = random.Random(29)
+        for _ in range(400):
+            n = rng.randint(3, 10)
+            p = rng.uniform(0.3, 0.9)
+            g = SimpleGraph(
+                n, [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            for a, b in itertools.permutations(range(n), 2):
+                path = hamiltonian_path(g, a, b)
+                record(None if path is None else path.vertices)
+            cycle = find_hamiltonian_cycle(g)
+            record(None if cycle is None else cycle.vertices)
+            record(missing_hamiltonian_pair(g))
+        assert digest.hexdigest() == (
+            "8a768d3b4df36d5ad036a385f46357660bd73598d3dc03a57ef18c7eb47f7c6a"
+        )
+
+
 class TestSharpnessCensusOutput:
     def test_idt_census_of_h1_to_h3_is_pinned(self):
         # sha256 over find_idt on every ordered edge pair of H_1..H_3, the
@@ -277,6 +306,8 @@ class TestSharpnessCensusOutput:
 class TestDeepTrails:
     # A 1,100-vertex cycle with a second edge 0-1: every trail the searches
     # below can return runs round the whole cycle, one search step per edge.
+    # The hamiltonian searches run on the plain 1,100-vertex path and cycle,
+    # one search step per vertex.
     N = 1100
 
     @pytest.fixture(scope="class")
@@ -312,6 +343,20 @@ class TestDeepTrails:
         assert witness is not None
         witness.validate()
         self.check(witness.trail)
+
+    def test_hamiltonian_path(self):
+        path = hamiltonian_path(path_graph(self.N), 0, self.N - 1)
+        assert path is not None and path.vertices == tuple(range(self.N))
+
+    def test_hamiltonian_cycle(self):
+        g = cycle_graph(self.N)
+        cycle = find_hamiltonian_cycle(g)
+        self.check(cycle)
+        assert cycle.is_closed and cycle.is_spanning()
+        assert is_hamiltonian(g)
+
+    def test_missing_hamiltonian_pair(self):
+        assert missing_hamiltonian_pair(cycle_graph(self.N)) == (0, 2)
 
 
 class TestHamiltonianPath:
