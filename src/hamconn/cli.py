@@ -89,7 +89,10 @@ def _load_graphs(args, *, simple: bool = False) -> list[Multigraph]:
         hint = " or --named NAME" if "named" in args else ""
         raise EncodingError(f"no input: pass --input FILE{hint}")
     with _user_file(args.input):
-        return read_corpus_file(args.input, args.format, simple=simple)
+        graphs = read_corpus_file(args.input, args.format, simple=simple)
+    if not graphs:
+        raise EncodingError(f"{args.input}: no graph in the file")
+    return graphs
 
 
 def cmd_verify(args) -> int:
@@ -116,10 +119,7 @@ def cmd_props(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    graphs = _load_graphs(args, simple=True)
-    if not graphs:
-        raise EncodingError(f"{args.input}: no graph in the file")
-    g = graphs[0]
+    g = _load_graphs(args, simple=True)[0]
     d = dominating_set(g, 3)
     if d is None:
         print("input graph has domination number above 3", file=sys.stderr)

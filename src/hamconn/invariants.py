@@ -1,7 +1,9 @@
 """Predicates and numeric invariants: claws, connectivity, domination.
 
 Everything here is exact.  The search routines are written for desk-scale
-inputs (a few dozen vertices); they use bitmask adjacency throughout.
+inputs (a few dozen vertices); they use bitmask adjacency throughout, and
+``dominating_set`` searches each size bound with one loop over an explicit
+stack, so no set size reaches the interpreter's recursion limit.
 
 ``is_k_connected`` decides ``k <= 3`` without max-flow: after the degree
 check it removes every vertex set of size ``k - 1`` and tests what is left
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError, GraphError, LiftFailedError
-from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component
+from .multigraph import Multigraph, SimpleGraph, _bit_component, _edge_component, _mask_vertices
 
 
 # -- claws ---------------------------------------------------------------------
@@ -290,7 +292,8 @@ def dominating_set(g: SimpleGraph, k: int) -> Optional[DominatingSet]:
     """A dominating set of size at most ``k`` if one exists.
 
     Branch and bound on the most-constrained uncovered vertex, using closed
-    neighborhood bitmasks; exact.
+    neighborhood bitmasks; exact.  Iterative deepening keeps the returned
+    set minimum-size.
     """
     if k < 0:
         return None
@@ -299,43 +302,39 @@ def dominating_set(g: SimpleGraph, k: int) -> Optional[DominatingSet]:
         return DominatingSet(frozenset(), g)
     masks = g.adjacency_masks()
     closed = [masks[v] | (1 << v) for v in range(n)]
+    closed_size = [mask.bit_count() for mask in closed]
     full = (1 << n) - 1
-    max_cover = max(mask.bit_count() for mask in closed)
-
-    def search(covered: int, chosen: tuple[int, ...], budget: int) -> Optional[tuple[int, ...]]:
-        if covered == full:
-            return chosen
-        if budget == 0:
-            return None
-        missing = full & ~covered
-        if missing.bit_count() > budget * max_cover:
-            return None
-        # Branch on an uncovered vertex with the fewest potential dominators;
-        # those of u are closed[u], as closed neighborhoods are symmetric.
-        pick = full
-        rest = missing
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if closed[u].bit_count() < pick.bit_count():
-                pick = closed[u]
-                if pick.bit_count() == 1:
-                    break
-        cands = []
-        while pick:
-            cands.append((pick & -pick).bit_length() - 1)
-            pick &= pick - 1
-        for v in sorted(cands, key=lambda x: -(closed[x] & ~covered).bit_count()):
-            result = search(covered | closed[v], chosen + (v,), budget - 1)
-            if result is not None:
-                return result
-        return None
-
-    # Iterative deepening keeps the returned set minimum-size within the budget.
-    for size in range(0, k + 1):
-        found = search(0, (), size)
-        if found is not None:
-            ds = DominatingSet(frozenset(found), g)
+    max_cover = max(closed_size)
+    for size in range(k + 1):
+        # chosen[i] is the vertex taken at depth i; stack[i] holds the covered
+        # mask and the untried candidates of the node where it was taken.
+        chosen: list[int] = []
+        stack: list[tuple[int, Iterator[int]]] = []
+        covered = 0
+        while covered != full:
+            missing = full & ~covered
+            budget = size - len(chosen)
+            untried: Iterator[int] = iter(())
+            if budget and missing.bit_count() <= budget * max_cover:
+                # Branch on an uncovered vertex u with the fewest dominators,
+                # closed[u] (closed neighborhoods are symmetric); try the most
+                # newly covered first, then by vertex id.
+                u = min(_mask_vertices(missing), key=closed_size.__getitem__)
+                untried = iter(
+                    sorted(_mask_vertices(closed[u]), key=lambda v: -(closed[v] & missing).bit_count())
+                )
+            v = next(untried, None)
+            while v is None and stack:
+                covered, untried = stack.pop()
+                chosen.pop()
+                v = next(untried, None)
+            if v is None:
+                break
+            stack.append((covered, untried))
+            chosen.append(v)
+            covered |= closed[v]
+        else:
+            ds = DominatingSet(frozenset(chosen), g)
             if not ds.validate():
                 raise LiftFailedError("dominating set search returned a non-dominating set")
             return ds

@@ -479,9 +479,9 @@ def is_hamiltonian_connected(g: SimpleGraph) -> bool:
     """Whether a hamiltonian path joins every pair of distinct vertices.
 
     Graphs on at most 2 vertices are hamiltonian-connected exactly when
-    complete.
+    complete; those on 0 or 1 vertex have no pair and are.
     """
-    return missing_hamiltonian_pair(g) is None
+    return g.n <= 1 or missing_hamiltonian_pair(g) is None
 
 
 def _cycle_order(g: SimpleGraph) -> Optional[list[int]]:

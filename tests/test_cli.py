@@ -224,6 +224,20 @@ class TestPropsCommand:
         assert rows["line graph of a multigraph"] == "False"
 
 
+class TestFileWithoutAGraph:
+    # An empty or comments-only graph6 or sparse6 file is an input error for
+    # every command that reads --input, with the message pipeline gives
+    @pytest.mark.parametrize("fmt, text", [("g6", ""), ("s6", "# only a comment\n")])
+    @pytest.mark.parametrize("command", ["props", "verify"])
+    def test_is_an_input_error(self, command, fmt, text, tmp_path, capsys):
+        path = tmp_path / f"none.{fmt}"
+        path.write_text(text)
+        assert main([command, "--input", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: no graph in the file\n"
+
+
 class TestPipelineCommand:
     def test_octahedron_pair(self, octahedron_file, capsys):
         assert main(["pipeline", "0", "5", "--input", octahedron_file]) == 0

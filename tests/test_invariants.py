@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from hamconn import invariants
 from hamconn.corpus import (
+    graph_classes,
     random_connected_multigraph_with_loops,
     random_multigraph,
 )
@@ -255,6 +257,48 @@ class TestDomination:
             # minimality: no smaller set dominates
             if gamma > 1:
                 assert not brute_dominating_sets(g, gamma - 1)
+
+
+class TestDominationEngineOutput:
+    def test_sets_found_are_pinned(self, graph_classes_7):
+        # sha256 over the dominating set of each size bound 0..3 (or None)
+        # and the domination number, on every class on at most 7 vertices,
+        # every claw-free class on at most 8 and 200 seeded random graphs on
+        # 8-22 vertices: the branching order decides which set is returned,
+        # and so the set pipeline prints
+        graphs = [g for g, _ in graph_classes_7]
+        graphs += [g for g, _ in graph_classes(8, claw_free=True)]
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(8, 22)
+            p = rng.uniform(0.08, 0.6)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            graphs.append(SimpleGraph(n, edges))
+        digest = hashlib.sha256()
+        for g in graphs:
+            for k in range(4):
+                found = dominating_set(g, k)
+                digest.update(repr(None if found is None else tuple(sorted(found.vertices))).encode())
+            digest.update(repr(domination_number(g)).encode())
+        assert digest.hexdigest() == (
+            "c104b9911c683837959e2af778c3fc349ac399362812940504ce138e89cc6e16"
+        )
+
+
+class TestDeepDomination:
+    # A path or cycle on 3,300 vertices needs 1,100 dominators, one search
+    # step each.
+    N = 3300
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        assert sys.getrecursionlimit() < self.N // 3
+
+    def test_path(self):
+        assert domination_number(path_graph(self.N)) == self.N // 3
+
+    def test_cycle(self):
+        assert domination_number(cycle_graph(self.N)) == self.N // 3
 
 
 class TestSimplicial:

@@ -486,6 +486,13 @@ class TestHamiltonianConnected:
         assert is_hamiltonian_connected(complete_graph(2))
         assert not is_hamiltonian_connected(SimpleGraph(2, []))
 
+    def test_no_pair_to_join(self):
+        # K_0 and K_1 are complete, with no pair of distinct vertices
+        assert is_hamiltonian_connected(SimpleGraph(0))
+        assert is_hamiltonian_connected(SimpleGraph(1))
+        with pytest.raises(GraphError):
+            missing_hamiltonian_pair(SimpleGraph(1))
+
     def test_first_missing_pair_against_permutation_oracle(self, connected_graphs_6):
         for g in connected_graphs_6:
             if g.n < 2:
