@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DegenerateCoreError, DisconnectedGraphError, LiftFailedError
 from .invariants import vertices_dominate_edges
 from .multigraph import Multigraph
-from .trails import Trail
+from .trails import Trail, _built_trail
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def lift_closed_trail(cm: CoreMap, t: Trail) -> Trail:
     if not t.is_closed:
         raise LiftFailedError("only closed trails lift")
     vertices, edges = lift_walk(cm, t.vertices, t.edges)
-    lifted = Trail(cm.original, vertices, edges)
+    lifted = _built_trail(cm.original, vertices, edges)
     if not lifted.is_closed:
         raise LiftFailedError("lift of a closed trail must be closed")
     if t.is_spanning():

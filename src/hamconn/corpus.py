@@ -12,8 +12,12 @@ the neighbor set of a new vertex, only one neighbor set per orbit of the
 parent's automorphism group is tried, and a child is kept only when the
 new vertex is in the orbit of its canonical deletion vertex, so each class
 is produced once and nothing is merged.  Most children are decided by a
-vertex invariant alone, and a neighbor set with fewer vertices than the
-parent's largest degree before the child is even built; the others are
+vertex invariant (degree, then the neighbors' degree sum) alone, read off
+three tables made once per parent and the neighbor set's bits before the
+child is built.  A child whose new vertex ties only with its own twins
+(the same neighbors, each other aside) is kept without a labeling too:
+swapping the new vertex with a twin is an automorphism, checked on the
+bitmasks, so the ties are the new vertex's orbit.  The others are
 labeled, and their automorphisms, which the labeling's search collects
 to prune itself and which are checked on neighbor bitmasks, give the
 orbit of the new vertex and, once the child is a parent, the orbits of
@@ -139,18 +143,29 @@ def graph_classes(
     found while labeling the parent.
 
     A child is kept when w lies in the Aut(child)-orbit of its canonical
-    deletion vertex: of the vertices with the largest invariant
-    (:func:`_deletion_ties`), the one with the largest canonical position.
-    An isomorphism between two children maps that orbit onto that orbit, so
-    each class is kept from exactly one (parent, mask orbit) pair, and its
-    parent is the representative of the class of the child minus that
-    vertex.  A child where another vertex has a larger invariant than w is
-    rejected without a labeling, and one where w alone has the largest is
-    kept without one; its automorphisms are found when it becomes a parent,
-    so the last level labels only children with ties.  A mask with fewer
-    vertices than the parent's largest degree gives w a smaller degree than
-    some other vertex, so that orbit is rejected on the mask's bit count
-    before the child's neighbor bitmasks are built.
+    deletion vertex: of the vertices with the largest invariant (degree,
+    then the sum of the neighbors' degrees), the one with the largest
+    canonical position.  An isomorphism between two children maps that
+    orbit onto that orbit, so each class is kept from exactly one (parent,
+    mask orbit) pair, and its parent is the representative of the class of
+    the child minus that vertex.  A mask with fewer vertices than the
+    parent's largest degree gives w a smaller degree than some other
+    vertex, so that orbit is rejected on the mask's bit count.  The other
+    masks are decided on three tables made once per parent (each vertex's
+    degree, the sum of its neighbors' degrees, and a vertex bitmask per
+    degree, :func:`_parent_tables`) and the mask's bits
+    (:func:`_mask_ties`), before any child is built.
+
+    A child where another vertex has a larger invariant than w is rejected
+    without a labeling.  One where every vertex tied with w is a twin of w,
+    with the same neighbors apart from each other (:func:`_twins_of_new`,
+    which checks each transposition of w with a tie as an automorphism), is
+    kept without one: the ties are closed under automorphisms, since the
+    invariant is, so they are exactly w's orbit and hold the canonical
+    deletion vertex.  w with no ties is the smallest such case.  A child
+    kept without a labeling has its automorphisms found when it becomes a
+    parent, so the last level labels only children with a tie that is no
+    twin of w.
 
     A class's labeled count is n! / |Aut|.  The automorphisms of a child
     that fix w are those of its parent that fix the mask, so a kept child
@@ -192,12 +207,14 @@ def graph_classes(
             expected = sum(entry[1] for entry in level) << new
             children: list = []
             pairs = [(v, new) for v in range(new)]
+            w = 1 << new
             for parent, weight, automorphisms in level:
                 if automorphisms is None:
                     automorphisms = _checked_labeling(parent)[1]
                 images = _mask_images(parent, automorphisms)
                 adjacency = parent.adjacency_masks()
-                top = max(a.bit_count() for a in adjacency)
+                tables = _parent_tables(adjacency)
+                top = max(tables[1])
                 seen = bytearray(1 << new)
                 for mask in range(1 << new):
                     if seen[mask]:
@@ -213,19 +230,17 @@ def graph_classes(
                     if claw_free and _makes_claw(adjacency, mask):
                         rejected += weight * len(orbit)
                         continue
-                    # w's degree is below another vertex's: _deletion_ties
-                    # would reject the child, so it is not built
+                    # w's degree is below another vertex's: the child is
+                    # rejected on the mask's bit count alone
                     if mask.bit_count() < top:
                         continue
-                    ties = _deletion_ties(
-                        [a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)] + [mask]
-                    )
+                    ties = _mask_ties(tables, mask)
                     if not ties:
                         continue
                     edges = tuple(pairs[v] for v in _mask_vertices(mask))
                     child = SimpleGraph(n, parent.endpoints + edges)
-                    found, w_orbit = None, 1 << new
-                    if ties != w_orbit:
+                    found, w_orbit = None, ties
+                    if ties != w and not _twins_of_new(adjacency, ties ^ w, mask):
                         perm, found = _checked_labeling(child)
                         w_orbit = _orbit(found, new)
                         if not w_orbit >> max(_mask_vertices(ties), key=perm.__getitem__) & 1:
@@ -264,22 +279,58 @@ def _checked_labeling(g: SimpleGraph) -> tuple[tuple[int, ...], list]:
     return perm, automorphisms
 
 
-def _deletion_ties(adjacency: list[int]) -> int:
-    """The vertices that share the largest invariant (degree, then the sum
-    of the neighbors' degrees) with the last vertex of the graph with
-    neighbor bitmasks ``adjacency``, as a bitmask; 0 when another vertex's
-    invariant is larger."""
+def _parent_tables(adjacency: tuple[int, ...]) -> tuple:
+    """What :func:`_mask_ties` needs of a parent with neighbor bitmasks
+    ``adjacency``, computed once for all its masks: the bitmasks, each
+    vertex's degree, the sum of its neighbors' degrees, and for each degree
+    up to the parent's vertex count the vertices of that degree as a
+    bitmask."""
     degrees = [a.bit_count() for a in adjacency]
-    top = degrees[-1]
-    if max(degrees) > top:
+    sums = [sum(degrees[u] for u in _mask_vertices(a)) for a in adjacency]
+    by_degree = [0] * (len(adjacency) + 1)
+    for v, k in enumerate(degrees):
+        by_degree[k] |= 1 << v
+    return adjacency, degrees, sums, by_degree
+
+
+def _mask_ties(tables: tuple, mask: int) -> int:
+    """The vertices of the child, the parent of ``tables`` joined to a new
+    vertex w by ``mask``, that share the largest invariant (degree, then the
+    sum of the neighbors' degrees) with w, as a bitmask; 0 when another
+    vertex's invariant is larger.  ``mask`` has d >= every parent degree
+    bits, so only a vertex of degree d in the mask outgrows w, and the
+    degree ties are w, the other vertices of degree d and those of degree
+    d - 1 in the mask.  A tied vertex v gains the mask vertices among its
+    neighbors and, when in the mask, w's degree d; w's sum is d plus the
+    parent degrees of the mask."""
+    adjacency, degrees, sums, by_degree = tables
+    d = mask.bit_count()
+    tied = by_degree[d]
+    if tied & mask:
         return 0
-    ties = [v for v, d in enumerate(degrees) if d == top]
-    if len(ties) == 1:
-        return 1 << ties[0]
-    sums = [sum(degrees[u] for u in _mask_vertices(adjacency[v])) for v in ties]
-    if max(sums) > sums[-1]:
-        return 0
-    return sum(1 << v for v, s in zip(ties, sums) if s == sums[-1])
+    w = 1 << len(adjacency)
+    if d:
+        tied |= by_degree[d - 1] & mask
+    if not tied:
+        return w
+    target = d + sum(degrees[u] for u in _mask_vertices(mask))
+    ties = w
+    for v in _mask_vertices(tied):
+        total = sums[v] + (adjacency[v] & mask).bit_count() + (d if mask >> v & 1 else 0)
+        if total > target:
+            return 0
+        if total == target:
+            ties |= 1 << v
+    return ties
+
+
+def _twins_of_new(adjacency: tuple[int, ...], others: int, mask: int) -> bool:
+    """Whether each vertex v of ``others`` has, in the parent with neighbor
+    bitmasks ``adjacency``, the neighbors ``mask`` without v: those of the
+    new vertex w joined to ``mask``, each other aside.  Then swapping v and
+    w maps the child's edges onto themselves, so every such transposition
+    is an automorphism of the child that this test has checked."""
+    return all(adjacency[v] == mask & ~(1 << v) for v in _mask_vertices(others))
 
 
 def _orbit(automorphisms: list, v: int) -> int:

@@ -201,13 +201,16 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         return n - 1
     if not g.is_connected():
         return 0
-    masks = g.adjacency_masks()
     degs = g.degrees()
+    best = min(degs)
+    # a leaf's one neighbor separates it: no network is built
+    if best == 1:
+        return 1
+    masks = g.adjacency_masks()
     lead = true_twin_leads(g)
     size = [0] * n
     for a in lead:
         size[a] += 1
-    best = min(degs)
     network = _split_network(masks, size)
     # A minimum separator either separates a fixed minimum-degree vertex v
     # from some non-neighbor, or contains v, in which case it separates two

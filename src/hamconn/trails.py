@@ -108,6 +108,17 @@ class IdtWitness:
             raise GraphError("interior vertices do not dominate every edge")
 
 
+def _built_trail(host: Multigraph, vertices: tuple[int, ...], edges: tuple[int, ...]) -> Trail:
+    """The ``Trail`` the library built along ``vertices`` and ``edges``.  One
+    that fails its check is a fault of the program, not of the input, so
+    its ``GraphError`` is raised as ``LiftFailedError``; a ``Trail`` built
+    by hand still raises ``GraphError``."""
+    try:
+        return Trail(host, vertices, edges)
+    except GraphError as exc:
+        raise LiftFailedError(f"a trail the library built fails its check: {exc}") from exc
+
+
 # -- the edge-trail engine (multigraphs) ----------------------------------------
 
 
@@ -190,7 +201,7 @@ def _trail_search(
             if closing_edge is not None:
                 verts.append(h.other_end(closing_edge, cur))
                 edges.append(closing_edge)
-            return Trail(h, tuple(verts), tuple(edges))
+            return _built_trail(h, tuple(verts), tuple(edges))
         key = used << shift | cur
         live = False
         if key not in dead:
@@ -326,7 +337,10 @@ def find_idt(h: Multigraph, e1: int, e2: int) -> Optional[IdtWitness]:
         )
         if trail is not None:
             witness = IdtWitness(trail, e1, e2)
-            witness.validate()
+            try:
+                witness.validate()
+            except GraphError as exc:
+                raise LiftFailedError(f"an IDT the library built fails its check: {exc}") from exc
             return witness
     return None
 
@@ -446,7 +460,7 @@ def _order_trail(g: SimpleGraph, order: Sequence[int], *, closed: bool = False) 
         order = [*order, order[0]]
     ids = {pair: e for e, pair in enumerate(g.endpoints)}
     edges = tuple(ids[(u, v) if u < v else (v, u)] for u, v in zip(order, order[1:]))
-    return Trail(g, tuple(order), edges)
+    return _built_trail(g, tuple(order), edges)
 
 
 def hamiltonian_path(g: SimpleGraph, a: int, b: int) -> Optional[Trail]:

@@ -321,6 +321,24 @@ def unpruned_graph_classes(max_vertices: int) -> list:
     return out
 
 
+def deletion_ties(adjacency: list[int]) -> int:
+    """The vertices that share the largest invariant (degree, then the sum
+    of the neighbors' degrees) with the last vertex of the graph with
+    neighbor bitmasks ``adjacency``, as a bitmask; 0 when another vertex's
+    invariant is larger.  A plain scan over the child's own bitmasks, for
+    ``corpus._mask_ties``, which reads the same from its parent's tables."""
+    n = len(adjacency)
+    degrees = [a.bit_count() for a in adjacency]
+    top = degrees[-1]
+    if max(degrees) > top:
+        return 0
+    ties = [v for v, d in enumerate(degrees) if d == top]
+    sums = [sum(degrees[u] for u in range(n) if adjacency[v] >> u & 1) for v in ties]
+    if max(sums) > sums[-1]:
+        return 0
+    return sum(1 << v for v, s in zip(ties, sums) if s == sums[-1])
+
+
 def full_class_tally(classes, hypothesis: str) -> dict:
     """Stage counts of the exhaustive check at every bound, from every
     ``(graph, labeled_count)`` class, claws and all: bound -> (total,

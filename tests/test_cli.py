@@ -244,6 +244,22 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert "hamiltonian path:" in out
 
+    def test_a_trail_the_engine_breaks_is_an_internal_failure(self, octahedron_file, monkeypatch, capsys):
+        # the trail engine handing back its edges reversed is a fault of the
+        # program: exit 3, where an input error exits 2
+        from hamconn import trails
+
+        class Reversed(trails.Trail):
+            def __post_init__(self):
+                object.__setattr__(self, "edges", self.edges[::-1])
+                super().__post_init__()
+
+        monkeypatch.setattr(trails, "Trail", Reversed)
+        assert main(["pipeline", "0", "5", "--input", octahedron_file]) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal validation failure: a trail the library built fails its check"
+        )
+
     def test_claw_input_error(self, tmp_path, capsys):
         path = tmp_path / "claw.g6"
         path.write_text(encode_graph6(star_graph(3)) + "\n")

@@ -155,7 +155,7 @@ class TestIsomorphismClasses:
 
         monkeypatch.setattr(corpus, "canonical_labeling", counting)
         list(graph_classes(6))
-        assert labeled == {2: 2, 3: 4, 4: 11, 5: 34, 6: 83}
+        assert labeled == {2: 2, 3: 4, 4: 11, 5: 34, 6: 43}
 
     def test_no_automorphisms_is_caught(self, monkeypatch):
         # without the groups, orbits are single masks and single vertices:
@@ -178,18 +178,84 @@ class TestIsomorphismClasses:
             labeled[g.n] = labeled.get(g.n, 0) + 1
             return canonical_labeling(g, **kwargs)
 
-        def counting_ties(adjacency):
-            decided[len(adjacency)] = decided.get(len(adjacency), 0) + 1
-            return deletion_ties(adjacency)
+        def counting_ties(tables, mask):
+            child = len(tables[0]) + 1
+            decided[child] = decided.get(child, 0) + 1
+            return mask_ties(tables, mask)
 
-        canonical_labeling, deletion_ties = corpus.canonical_labeling, corpus._deletion_ties
+        canonical_labeling, mask_ties = corpus.canonical_labeling, corpus._mask_ties
         monkeypatch.setattr(corpus, "canonical_labeling", counting_labeling)
-        monkeypatch.setattr(corpus, "_deletion_ties", counting_ties)
+        monkeypatch.setattr(corpus, "_mask_ties", counting_ties)
         for top, claw_free in ((6, False), (7, True)):
             labeled.clear()
             decided.clear()
             classes = sum(g.n == top for g, _ in graph_classes(top, claw_free=claw_free))
             assert labeled[top] < classes <= decided[top]
+
+    def test_table_ties_match_the_child_scan(self):
+        # every (parent, mask) pair past the degree test is decided from the
+        # parent's tables as a scan of the child's own bitmasks decides it
+        from hamconn.corpus import _mask_ties, _parent_tables
+
+        from oracles import deletion_ties
+
+        for top, claw_free, expected in ((6, False, 702), (7, True, 3399)):
+            pairs = 0
+            for parent, _ in graph_classes(top - 1, claw_free=claw_free):
+                adjacency = parent.adjacency_masks()
+                tables = _parent_tables(adjacency)
+                new = parent.n
+                for mask in range(1 << new):
+                    if mask.bit_count() < max(tables[1]):
+                        continue
+                    child = [a | 1 << new if mask >> v & 1 else a for v, a in enumerate(adjacency)]
+                    assert _mask_ties(tables, mask) == deletion_ties(child + [mask]), (parent, mask)
+                    pairs += 1
+            assert pairs == expected
+
+    def test_twin_orbits_match_a_full_labeling(self, monkeypatch):
+        # wherever a child is kept on its twin test alone, a labeling of the
+        # child finds the new vertex's orbit to be exactly its ties, with
+        # the canonical deletion vertex among them
+        from hamconn import corpus
+        from hamconn.corpus import _checked_labeling, _orbit
+
+        from oracles import deletion_ties
+
+        fired: list = []
+
+        def recording(adjacency, others, mask):
+            twins = twins_of_new(adjacency, others, mask)
+            if twins:
+                fired.append((adjacency, others, mask))
+            return twins
+
+        twins_of_new = corpus._twins_of_new
+        monkeypatch.setattr(corpus, "_twins_of_new", recording)
+        for top, claw_free, expected in ((7, False, 253), (8, True, 489)):
+            fired.clear()
+            list(graph_classes(top, claw_free=claw_free))
+            for adjacency, others, mask in fired:
+                new = len(adjacency)
+                child = SimpleGraph(
+                    new + 1,
+                    [(u, v) for v in range(new) for u in range(v) if adjacency[v] >> u & 1]
+                    + [(v, new) for v in range(new) if mask >> v & 1],
+                )
+                ties = others | 1 << new
+                assert deletion_ties(list(child.adjacency_masks())) == ties, child
+                perm, found = _checked_labeling(child)
+                assert _orbit(found, new) == ties, child
+                deletion = max((v for v in range(new + 1) if ties >> v & 1), key=perm.__getitem__)
+                assert _orbit(found, new) >> deletion & 1, child
+            assert len(fired) == expected
+
+    def test_a_twin_test_that_passes_everything_is_caught(self, monkeypatch):
+        # a tie that is no twin of the new vertex may lie outside its orbit;
+        # keeping such a child unlabeled keeps a class twice
+        monkeypatch.setattr("hamconn.corpus._twins_of_new", lambda adjacency, others, mask: True)
+        with pytest.raises(LiftFailedError):
+            list(graph_classes(6))
 
     def test_a_generator_that_is_no_automorphism_is_caught(self, monkeypatch):
         # swapping vertices 0 and 1 is not an automorphism of most graphs on

@@ -133,6 +133,37 @@ class TestVertexConnectivity:
             g = line_graph(multigraph_with_twins(rng))
             assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g.endpoints
 
+    def test_a_leaf_settles_connectivity_without_a_flow(self, monkeypatch):
+        # a connected graph that is not complete and has a vertex of degree 1
+        # is split by that vertex's neighbor, so no separator is searched for;
+        # minimum degree 2 still goes to the flows
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return min_separator(*args)
+
+        min_separator = invariants._min_separator
+        monkeypatch.setattr(invariants, "_min_separator", counting)
+        assert vertex_connectivity(path_graph(3300)) == 1
+        assert vertex_connectivity(star_graph(6)) == 1
+        assert calls == []
+        assert vertex_connectivity(cycle_graph(8)) == 2
+        assert calls
+
+    def test_graphs_with_leaves_match_networkx(self):
+        # a seeded connected graph (a random tree plus random chords) with
+        # one to three leaves hung on it
+        rng = random.Random(47)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            leaves = rng.randint(1, 3)
+            edges += [(rng.randrange(n), n + i) for i in range(leaves)]
+            g = SimpleGraph(n + leaves, sorted(set(edges)))
+            assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g.endpoints
+
     def test_sharpness_family_is_3_connected(self):
         for p in range(1, 7):
             assert counterexample_report(p).connectivity == 3, p

@@ -67,6 +67,30 @@ class TestTrailType:
         assert isinstance(caught.value, GraphError)
 
 
+    def test_a_trail_the_library_builds_fails_as_an_internal_fault(self, k4, monkeypatch):
+        # a Trail built by hand that fails its check is a GraphError of the
+        # caller's; one the trail engine, the hamiltonian-order engine or
+        # the IDT search built is LiftFailedError
+        with pytest.raises(GraphError) as caught:
+            Trail(k4, (0, 2), (0,))
+        assert not isinstance(caught.value, LiftFailedError)
+
+        class Reversed(Trail):
+            def __post_init__(self):
+                object.__setattr__(self, "edges", self.edges[::-1])
+                super().__post_init__()
+
+        monkeypatch.setattr(trails, "Trail", Reversed)
+        with pytest.raises(LiftFailedError, match="a trail the library built fails its check"):
+            find_closed_trail_through(k4, [0, 1, 2, 3], 0)
+        with pytest.raises(LiftFailedError, match="a trail the library built fails its check"):
+            hamiltonian_path(k4, 0, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(trails, "vertices_dominate_edges", lambda host, vertices: False)
+        with pytest.raises(LiftFailedError, match="an IDT the library built fails its check"):
+            find_idt(k4, 0, 5)
+
+
 # 0 =e0,e5= 1 =e1,e2= 2 =e3,e4= 3 -e6- 4: three parallel pairs on a path
 # and a pendant edge.
 _BACKTRACK_TWINS = [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (0, 1), (3, 4)]
